@@ -2,25 +2,20 @@
 overlays: learning-driven site selection plus owner/path/random baselines.
 """
 
-from ._jit import BACKEND, NUMBA_ENABLED
 from .errors import (CompareError, ConfigurationError, EvictionError,
                      PlacementError, QRepSimError, SelectionError)
-from .model import (AttributeProfile, Network, NodeState, Overlay,
-                    PopularityEntry, QTableEntry, StoredObject,
-                    generate_topology, place_initial_objects,
-                    sample_node_attributes)
+from .model import (AttributeProfile, Network, Overlay, generate_topology,
+                    place_initial_objects, sample_node_attributes)
 from .qrep import QRepParams, ReinforcementSignal
-from .search import QueryOutcome, WalkContext, WalkMessage
+from .search import QueryOutcome, WalkContext
 from .sim import MetricsRow, SimConfig, Simulation, TopologyConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeProfile", "BACKEND", "CompareError", "ConfigurationError",
-    "EvictionError", "MetricsRow", "Network", "NodeState", "NUMBA_ENABLED",
-    "Overlay", "PlacementError", "PopularityEntry", "QRepParams",
-    "QRepSimError", "QTableEntry", "QueryOutcome", "ReinforcementSignal",
-    "SelectionError", "SimConfig", "Simulation", "StoredObject",
-    "TopologyConfig", "WalkContext", "WalkMessage", "generate_topology",
-    "place_initial_objects", "sample_node_attributes",
+    "AttributeProfile", "CompareError", "ConfigurationError", "EvictionError",
+    "MetricsRow", "Network", "Overlay", "PlacementError", "QRepParams",
+    "QRepSimError", "QueryOutcome", "ReinforcementSignal", "SelectionError",
+    "SimConfig", "Simulation", "TopologyConfig", "WalkContext",
+    "generate_topology", "place_initial_objects", "sample_node_attributes",
 ]

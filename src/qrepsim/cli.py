@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .baselines import STRATEGIES
 from .errors import CompareError, ConfigurationError
 from .qrep import QRepParams
 from .sim import SimConfig, Simulation, TopologyConfig
@@ -201,7 +202,7 @@ def _build_parser():
 
     sim = sub.add_parser("simulate", help="run one configuration")
     sim.add_argument("--config", required=True, help="INI config file")
-    sim.add_argument("--strategy", choices=("none", "owner", "path", "random", "qrep"))
+    sim.add_argument("--strategy", choices=STRATEGIES)
     sim.add_argument("--ttl", type=int)
     sim.add_argument("--walkers", type=int, dest="walkers_k")
     sim.add_argument("--nodes", type=int, dest="node_count")

@@ -1,10 +1,8 @@
 """Overlay topology, node attributes, and the array-backed network state.
 
 The simulator keeps all per-node and per-object state in flat numpy arrays
-(object-major matrices of shape (n_objects, n_nodes)) so the walk kernels
-can work on contiguous rows. The record types (NodeState, StoredObject,
-...) are materialized on demand as read-only snapshot views for tests and
-inspection.
+(object-major matrices of shape (n_objects, n_nodes)) so the walk and the
+per-visit counters work on contiguous rows.
 """
 
 from dataclasses import dataclass
@@ -12,47 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PlacementError
-
-
-@dataclass(frozen=True)
-class StoredObject:
-    """One original or replica in a node's shared store."""
-    object_id: int
-    size: float
-    inserted_at_ms: int
-    is_original: bool
-
-
-@dataclass(frozen=True)
-class PopularityEntry:
-    object_id: int
-    popularity: float
-    rank: int            # 1 = most popular object on this node
-    replicated: bool
-    window_requests: int
-
-
-@dataclass(frozen=True)
-class QTableEntry:
-    peer_id: int
-    q_value: float
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Snapshot of one peer, assembled from the network arrays."""
-    id: int
-    up: bool
-    bandwidth: float
-    storage_capacity: float
-    storage_available: float
-    degree: int
-    store: dict
-    popularity_table: dict
-    q_table: dict
-    replication_list: set
-    requests_total: int
-    requests_since_update: int
 
 
 class Overlay:
@@ -303,36 +260,6 @@ class Network:
     def replica_counts(self):
         """Per-object replica counts (originals excluded)."""
         return (self.holds & ~self.original).sum(axis=1)
-
-    # -- snapshot views ------------------------------------------------------
-
-    def node_state(self, node):
-        objs = self.stored_objects(node)
-        store = {int(o): StoredObject(int(o), float(self.obj_size[o]),
-                                      int(self.inserted_at[o, node]),
-                                      bool(self.original[o, node]))
-                 for o in objs}
-        order = sorted(objs, key=lambda o: (-self.pf[o, node], int(o)))
-        rank = {int(o): i + 1 for i, o in enumerate(order)}
-        pops = {int(o): PopularityEntry(int(o), float(self.pf[o, node]), rank[int(o)],
-                                        bool(self.replicated[o, node]),
-                                        int(self.rq[o, node]))
-                for o in objs}
-        qtab = {peer: QTableEntry(peer, q) for peer, q in self.q_tables[node].items()}
-        return NodeState(
-            id=node,
-            up=bool(self.up[node]),
-            bandwidth=float(self.bandwidth[node]),
-            storage_capacity=float(self.capacity[node]),
-            storage_available=float(self.free[node]),
-            degree=int(self.degree[node]),
-            store=store,
-            popularity_table=pops,
-            q_table=qtab,
-            replication_list=set(self.reservations[node].keys()),
-            requests_total=int(self.n_q[node]),
-            requests_since_update=int(self.since_update[node]),
-        )
 
     def serialize(self):
         """Stable text form of the generated state (golden determinism tests).

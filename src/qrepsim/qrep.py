@@ -77,12 +77,25 @@ class ReinforcementSignal:
 
 # -- popularity ------------------------------------------------------------
 
-def record_request(net, node, object_key):
-    """Count one incoming request at `node` (scalar form of the hot kernel)."""
-    net.n_q[node] += 1
-    net.since_update[node] += 1
-    if net.holds[object_key, node]:
-        net.rq[object_key, node] += 1
+def record_visits(visited, n_visited, holds_row, n_q, since_update, rq_row):
+    """Bump per-node request counters for one query's visited set."""
+    for i in range(n_visited):
+        v = visited[i]
+        n_q[v] += 1
+        since_update[v] += 1
+        if holds_row[v]:
+            rq_row[v] += 1
+
+
+def refresh_due(visited, n_visited, since_update, every, out):
+    """Collect visited nodes whose popularity refresh is due; returns count."""
+    n = 0
+    for i in range(n_visited):
+        v = visited[i]
+        if since_update[v] >= every:
+            out[n] = v
+            n += 1
+    return n
 
 
 def update_popularities(net, node, params):

@@ -3,8 +3,9 @@
 A run is fully determined by (config, seed): the event schedule is built up
 front (query events plus periodic replication-scan events), timestamps are
 integer milliseconds, ties break by schedule sequence number, and every
-random stream is derived from the run seed (numpy PCG64 outside the walk
-kernels, the in-kernel MINSTD stream inside).
+random stream is derived from the run seed (numpy PCG64 for setup, workload,
+churn and random placement; the MINSTD stream of :mod:`qrepsim.search` for
+the walks).
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,7 @@ from . import baselines, qrep
 from .errors import ConfigurationError
 from .model import AttributeProfile, Network, generate_topology, \
     place_initial_objects, sample_node_attributes
-from .kernels import record_visits, refresh_due
-from .qrep import QRepParams
+from .qrep import QRepParams, record_visits, refresh_due
 from .search import WalkContext, run_query
 
 
@@ -116,21 +116,18 @@ class MetricsRow:
     queries_succeeded: int
     success_rate: float
     total_replicas: int
-    replicas_per_object: dict
     mean_hops_on_success: float
     up_node_count: int
 
 
 def collect_metrics(net, window_index, issued, succeeded, hops_total):
     """Close one window: scan the stores and aggregate the window counters."""
-    counts = net.replica_counts()
     return MetricsRow(
         window_index=window_index,
         queries_issued=issued,
         queries_succeeded=succeeded,
         success_rate=succeeded / issued if issued else 0.0,
-        total_replicas=int(counts.sum()),
-        replicas_per_object={int(o): int(c) for o, c in enumerate(counts)},
+        total_replicas=int(net.replica_counts().sum()),
         mean_hops_on_success=hops_total / succeeded if succeeded else 0.0,
         up_node_count=int(net.up.sum()),
     )

