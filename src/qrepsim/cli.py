@@ -177,17 +177,17 @@ def compare_runs(run_dirs, report_path):
             final = _final_rows(csv_path)
             groups.setdefault((strategy, ttl), []).append(float(final[3]))
 
-    lines = ["strategy,ttl,runs,final_success_mean,final_success_std,winner"]
-    by_ttl = {}
+    stats = []
     for (strategy, ttl), rates in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        mean = statistics.fmean(rates)
-        by_ttl.setdefault(ttl, []).append((mean, strategy))
-    for (strategy, ttl), rates in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        mean = statistics.fmean(rates)
         std = statistics.stdev(rates) if len(rates) > 1 else 0.0
-        winner = max(by_ttl[ttl])[1]
-        mark = "*" if winner == strategy else ""
-        lines.append(f"{strategy},{ttl},{len(rates)},{mean:.6f},{std:.6f},{mark}")
+        stats.append((strategy, ttl, len(rates), statistics.fmean(rates), std))
+    winners = {}
+    for strategy, ttl, _runs, mean, _std in stats:
+        winners[ttl] = max(winners.get(ttl, (mean, strategy)), (mean, strategy))
+    lines = ["strategy,ttl,runs,final_success_mean,final_success_std,winner"]
+    for strategy, ttl, runs, mean, std in stats:
+        mark = "*" if winners[ttl][1] == strategy else ""
+        lines.append(f"{strategy},{ttl},{runs},{mean:.6f},{std:.6f},{mark}")
     report = "\n".join(lines) + "\n"
     Path(report_path).write_text(report, encoding="ascii")
     return report
@@ -227,6 +227,8 @@ def _cmd_simulate(args):
             overrides[key] = value
     if args.repeat < 1:
         raise ConfigurationError("--repeat must be >= 1")
+    if args.seed_stride < 1:
+        raise ConfigurationError("--seed-stride must be >= 1")
     sim_cfg, qrep_cfg, topo_cfg = parse_config(args.config, overrides)
 
     out_dir = Path(args.out)

@@ -20,17 +20,16 @@ class Overlay:
     by the walk memo (a message is never pushed back to its sender).
     """
 
-    __slots__ = ("node_count", "indptr", "indices", "edge_rev", "seed")
+    __slots__ = ("node_count", "indptr", "indices", "edge_rev")
 
-    def __init__(self, node_count, indptr, indices, seed=0):
+    def __init__(self, node_count, indptr, indices):
         self.node_count = int(node_count)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.seed = seed
         self.edge_rev = _reverse_edges(self.indptr, self.indices)
 
     @classmethod
-    def from_adjacency(cls, adjacency, seed=0):
+    def from_adjacency(cls, adjacency):
         """Build from {node: iterable-of-neighbors}; symmetrizes the input."""
         n = len(adjacency)
         sets = [set() for _ in range(n)]
@@ -47,7 +46,7 @@ class Overlay:
             chunks.append(nbrs)
             indptr[u + 1] = indptr[u] + len(nbrs)
         indices = np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
-        return cls(n, indptr, indices, seed)
+        return cls(n, indptr, indices)
 
     def neighbors(self, u):
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -63,12 +62,13 @@ class Overlay:
 
 
 def _reverse_edges(indptr, indices):
+    """Edge v->u for every edge u->v of a symmetric CSR graph.
+
+    Rows are sorted, so ordering the edges by (target, source) lists them
+    exactly in the CSR order of their reverses."""
+    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     rev = np.empty(len(indices), dtype=np.int64)
-    for u in range(len(indptr) - 1):
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            row = indices[indptr[v]:indptr[v + 1]]
-            rev[j] = indptr[v] + int(np.searchsorted(row, u))
+    rev[np.lexsort((src, indices))] = np.arange(len(indices))
     return rev
 
 
@@ -142,7 +142,7 @@ def generate_topology(n, avg_degree, seed, max_retries=64):
             rows.append(row)
             indptr[u + 1] = indptr[u] + len(row)
         indices = np.concatenate(rows) if indptr[-1] else np.zeros(0, np.int64)
-        return Overlay(n, indptr, indices, seed)
+        return Overlay(n, indptr, indices)
     raise ConfigurationError(
         f"could not generate a connected graph (n={n}, avg_degree={avg_degree}) "
         f"after {max_retries} attempts; raise the density or the retry limit")

@@ -77,25 +77,24 @@ class ReinforcementSignal:
 
 # -- popularity ------------------------------------------------------------
 
-def record_visits(visited, n_visited, holds_row, n_q, since_update, rq_row):
+def record_visits(net, visited, obj):
     """Bump per-node request counters for one query's visited set."""
-    for i in range(n_visited):
-        v = visited[i]
-        n_q[v] += 1
-        since_update[v] += 1
-        if holds_row[v]:
+    held = net.holds[obj]
+    rq_row = net.rq[obj]
+    for v in visited:
+        net.n_q[v] += 1
+        net.since_update[v] += 1
+        if held[v]:
             rq_row[v] += 1
 
 
-def refresh_due(visited, n_visited, since_update, every, out):
-    """Collect visited nodes whose popularity refresh is due; returns count."""
-    n = 0
-    for i in range(n_visited):
-        v = visited[i]
-        if since_update[v] >= every:
-            out[n] = v
-            n += 1
-    return n
+def refresh_due(net, visited, params):
+    """Refresh the popularities of visited nodes whose request window is
+    full, in visit order; returns how many were due."""
+    due = [v for v in visited if net.since_update[v] >= params.update_every]
+    for v in due:
+        update_popularities(net, v, params)
+    return len(due)
 
 
 def update_popularities(net, node, params):

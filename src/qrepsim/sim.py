@@ -49,6 +49,8 @@ class SimConfig:
         for name in ("initial_up_fraction", "churn_flip_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.churn_every_queries < 0:
             raise ConfigurationError("churn_every_queries must be >= 0 (0 disables churn)")
         if self.strategy not in baselines.STRATEGIES:
@@ -271,13 +273,9 @@ class Simulation:
         self.rng_work = np.random.default_rng(s_work)
         self.rng_churn = np.random.default_rng(s_churn)
         self.rng_pick = np.random.default_rng(s_pick)
-        walk_seed = int(s_walk.generate_state(1)[0])
-        max_k = max(config.walkers_k, params.hello_walkers)
-        max_ttl = max(config.ttl, params.hello_ttl)
-        self.ctx = WalkContext(self.net.overlay, walk_seed, max_k, max_ttl)
+        self.ctx = WalkContext(self.net.overlay, int(s_walk.generate_state(1)[0]))
 
         self.checker = InvariantChecker(self.net) if check_invariants else None
-        self._refresh_buf = np.empty(self.net.n_nodes, dtype=np.int64)
 
     # -- event handlers ------------------------------------------------------
 
@@ -298,12 +296,8 @@ class Simulation:
             return False, False, 0
         outcome, visited = run_query(net, self.ctx, origin, obj,
                                      cfg.walkers_k, cfg.ttl)
-        record_visits(visited, len(visited), net.holds[obj],
-                      net.n_q, net.since_update, net.rq[obj])
-        n_due = refresh_due(visited, len(visited), net.since_update,
-                            self.params.update_every, self._refresh_buf)
-        for i in range(n_due):
-            qrep.update_popularities(net, int(self._refresh_buf[i]), self.params)
+        record_visits(net, visited, obj)
+        refresh_due(net, visited, self.params)
         if outcome.success:
             if cfg.strategy == "owner":
                 baselines.owner_replicate(net, outcome, obj, now_ms)

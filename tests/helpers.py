@@ -21,8 +21,8 @@ def build_network(adjacency, n_objects=1, bandwidth=100.0, capacity=10.0,
     return Network(overlay, bw, cap, up_mask, sizes)
 
 
-def make_ctx(net, seed=1, k=6, ttl=6):
-    return WalkContext(net.overlay, seed, k, ttl)
+def make_ctx(net, seed=1):
+    return WalkContext(net.overlay, seed)
 
 
 def line_network(length=3, n_objects=1, **kwargs):

@@ -139,6 +139,15 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--repeat", "3", "--seed-stride", "0"]])
+def test_simulate_bad_seed_exits_2_before_writing(tmp_path, flags):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert not list(out.glob("*.csv")) and not (out / "config.resolved.ini").exists()
+
+
 def test_cli_override_flags(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY)

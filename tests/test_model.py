@@ -48,6 +48,9 @@ def test_adjacency_symmetric_no_self_loops(seed):
         assert ov.degree(u) == len(sets[u])
         for v in sets[u]:
             assert u in sets[v]
+    src = np.repeat(np.arange(120), ov.degrees())
+    assert np.array_equal(ov.indices[ov.edge_rev], src)
+    assert np.array_equal(ov.edge_rev[ov.edge_rev], np.arange(len(ov.indices)))
 
 
 def test_density_too_low_is_configuration_error():

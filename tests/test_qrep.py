@@ -1,12 +1,11 @@
 import random
 
-import numpy as np
 import pytest
 
 from qrepsim.errors import ConfigurationError, EvictionError, SelectionError
 from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           compute_reward, evict_for_space, init_q_value,
-                          record_visits, replicate_object,
+                          record_visits, refresh_due, replicate_object,
                           run_replication_round, scan_for_replication,
                           select_target_sites, update_popularities, update_q)
 
@@ -39,8 +38,8 @@ def test_params_invariants_rejected(bad):
 def test_record_request_held_and_absent():
     net = build_network({0: []}, n_objects=2)
     net.store_object(0, 0, 0)
-    record_visits(np.array([0]), 1, net.holds[0], net.n_q, net.since_update, net.rq[0])
-    record_visits(np.array([0]), 1, net.holds[1], net.n_q, net.since_update, net.rq[1])
+    record_visits(net, [0], 0)
+    record_visits(net, [0], 1)
     assert net.n_q[0] == 2 and net.since_update[0] == 2
     assert net.rq[0, 0] == 1 and net.rq[1, 0] == 0
 
@@ -52,17 +51,15 @@ def test_batched_visit_counting_matches_scalar():
     for net in (net_a, net_b):
         net.store_object(2, 0, 0)
         net.store_object(4, 1, 0)
-    # only the first n_visited entries count; node 3 is stale scratch
-    visited = np.array([0, 2, 4, 5, 3], dtype=np.int64)
-    record_visits(visited, 4, net_a.holds[0], net_a.n_q, net_a.since_update, net_a.rq[0])
-    for v in visited[:4]:
-        record_visits(np.array([v]), 1, net_b.holds[0],
-                      net_b.n_q, net_b.since_update, net_b.rq[0])
+    visited = [0, 2, 4, 5]
+    record_visits(net_a, visited, 0)
+    for v in visited:
+        record_visits(net_b, [v], 0)
     for net in (net_a, net_b):
         assert net.n_q.tolist() == [1, 0, 1, 0, 1, 1]
         assert net.since_update.tolist() == [1, 0, 1, 0, 1, 1]
         assert net.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
-    record_visits(np.array([4, 0]), 2, net_a.holds[1], net_a.n_q, net_a.since_update, net_a.rq[1])
+    record_visits(net_a, [4, 0], 1)
     assert net_a.n_q.tolist() == [2, 0, 1, 0, 2, 1]
     assert net_a.since_update.tolist() == [2, 0, 1, 0, 2, 1]
     assert net_a.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
@@ -96,6 +93,16 @@ def test_popularity_noop_without_window_traffic():
     net.pf[0, 0] = 2.0
     update_popularities(net, 0, P)       # N_q == 0
     assert net.pf[0, 0] == 2.0
+
+
+def test_refresh_due_updates_only_full_windows():
+    net = build_network({0: [1], 1: [2], 2: []}, n_objects=1)
+    for v in range(3):
+        net.store_object(v, 0, 0)
+    net.rq[0], net.n_q[:], net.since_update[:] = [5, 5, 5], 50, [50, 49, 50]
+    assert refresh_due(net, [2, 1], P) == 1        # node 0 was not visited
+    assert net.pf[0].tolist() == [0.0, 0.0, 5.0]
+    assert net.since_update.tolist() == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
 
 
 def test_popularity_window_counters_reset():

@@ -1,30 +1,29 @@
 import numpy as np
 
 from qrepsim.model import generate_topology, Network
-from qrepsim.search import (hello_sweep, rng_below, rng_next, run_query,
-                            seed_state)
+from qrepsim.search import hello_sweep, run_query, walk
 
 from helpers import build_network, line_network, make_ctx, star_network
 
 
-def walker_paths(ctx, k):
-    """Node sequence of each walker of the last walk run on `ctx`."""
-    return [ctx.paths[w, :ctx.path_lens[w]].tolist() for w in range(k)]
+def walker_paths(net, ctx, origin, k, ttl):
+    """Node sequence of each walker of a coverage walk from `origin`."""
+    return walk(net, ctx, origin, k, ttl)[0]
 
 
 def test_minstd_stream_matches_reference():
-    state = seed_state(42)
-    reference = int(state[0])
+    ctx = make_ctx(line_network(2), seed=42)
+    reference = ctx.state
     for _ in range(100):
         reference = (48271 * reference) % 2147483647
-        assert int(rng_next(state)) == reference
+        assert ctx.rng_next() == reference
 
 
 def test_rng_below_range_and_determinism():
-    a = seed_state(7)
-    b = seed_state(7)
-    draws_a = [int(rng_below(a, n)) for n in (2, 5, 17, 1000)]
-    draws_b = [int(rng_below(b, n)) for n in (2, 5, 17, 1000)]
+    a = make_ctx(line_network(2), seed=7)
+    b = make_ctx(line_network(2), seed=7)
+    draws_a = [a.rng_below(n) for n in (2, 5, 17, 1000)]
+    draws_b = [b.rng_below(n) for n in (2, 5, 17, 1000)]
     assert draws_a == draws_b
     for value, n in zip(draws_a, (2, 5, 17, 1000)):
         assert 0 <= value < n
@@ -61,26 +60,22 @@ def test_walker_without_eligible_neighbor_halts():
     # launch, and a walker on a leaf cannot go back, so all of them halt
     net = build_network({0: [1, 2], 1: [], 2: []})
     for seed in range(10):
-        ctx = make_ctx(net, seed=seed)
-        responses = hello_sweep(net, ctx, 0, k=3, ttl=5)
+        responses = hello_sweep(net, make_ctx(net, seed=seed), 0, k=3, ttl=5)
         assert sorted(r[0] for r in responses) == [1, 2]
-        paths = walker_paths(ctx, 3)
+        paths = walker_paths(net, make_ctx(net, seed=seed), 0, k=3, ttl=5)
         assert sorted(p[1] for p in paths[:2]) == [1, 2]
         assert [len(p) for p in paths] == [2, 2, 1]
 
 
 def test_walker_never_returns_to_sender():
     net = line_network(2)
-    ctx = make_ctx(net)
-    out = run_query(net, ctx, origin=0, key=0, k=2, ttl=3)[0]
+    out = run_query(net, make_ctx(net), origin=0, key=0, k=2, ttl=3)[0]
     assert not out.success and out.probes == 2
-    assert walker_paths(ctx, 2) == [[0, 1], [0]]
+    assert walker_paths(net, make_ctx(net), 0, k=2, ttl=3) == [[0, 1], [0]]
     for trial in range(10):
         net = Network(generate_topology(30, 4.0, seed=trial), np.ones(30),
                       np.ones(30), np.ones(30, dtype=bool), np.ones(1))
-        ctx = make_ctx(net, seed=trial)
-        run_query(net, ctx, 0, 0, k=1, ttl=6)
-        (path,) = walker_paths(ctx, 1)
+        (path,) = walker_paths(net, make_ctx(net, seed=trial), 0, k=1, ttl=6)
         assert all(a != c for a, c in zip(path, path[2:]))
 
 
@@ -88,10 +83,9 @@ def test_walk_stops_when_ttl_exhausted():
     # a single walker on a ring never meets a used edge, so only ttl stops it
     net = build_network({i: [(i + 1) % 8] for i in range(8)})
     for ttl in range(7):
-        ctx = make_ctx(net)
-        out = run_query(net, ctx, 0, 0, k=1, ttl=ttl)[0]
+        out = run_query(net, make_ctx(net), 0, 0, k=1, ttl=ttl)[0]
         assert not out.success and out.probes == ttl + 1
-        assert len(walker_paths(ctx, 1)[0]) == ttl + 1
+        assert len(walker_paths(net, make_ctx(net), 0, k=1, ttl=ttl)[0]) == ttl + 1
 
 
 def test_down_nodes_invisible():
@@ -147,7 +141,7 @@ def test_probe_budget_and_path_up_property():
         k, ttl = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         out, visited = run_query(net, make_ctx(net, seed=trial), origin, 0, k, ttl)
         assert out.probes <= k * ttl + 1
-        assert out.probes == len(visited) == len(set(visited.tolist()))
+        assert out.probes == len(visited) == len(set(visited))
         assert all(net.up[v] for v in visited)
         if out.success:
             assert net.holds[0, out.provider]
@@ -170,12 +164,11 @@ def test_down_origin_returns_failed_outcome():
 
 
 def test_no_repeated_directed_edge_per_message():
-    # edges are stamped in both directions, so across all walkers of one
+    # used edges are closed in both directions, so across all walkers of one
     # message each overlay edge is crossed at most once
     for trial in range(10):
         net = Network(generate_topology(30, 4.0, seed=trial), np.ones(30),
                       np.ones(30), np.ones(30, dtype=bool), np.ones(1))
-        ctx = make_ctx(net, seed=trial)
-        hello_sweep(net, ctx, 0, k=6, ttl=6)
-        moves = [(a, b) for p in walker_paths(ctx, 6) for a, b in zip(p, p[1:])]
+        paths = walker_paths(net, make_ctx(net, seed=trial), 0, k=6, ttl=6)
+        moves = [(a, b) for p in paths for a, b in zip(p, p[1:])]
         assert len({frozenset(m) for m in moves}) == len(moves)

@@ -26,6 +26,7 @@ def test_config_defaults_valid():
     dict(node_count=0), dict(ttl=0), dict(mean_query_interval_s=0.0),
     dict(initial_up_fraction=1.5), dict(strategy="flood"),
     dict(query_popularity="zipf:-1"), dict(query_popularity="pareto"),
+    dict(seed=-1),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ConfigurationError):
