@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .baselines import STRATEGIES
-from .errors import CompareError, ConfigurationError
+from .errors import CompareError, ConfigurationError, PlacementError
 from .qrep import QRepParams
 from .sim import SimConfig, Simulation, TopologyConfig
 
@@ -44,9 +44,8 @@ def _coerce(name, raw, target_type):
 
 
 def _field_types(cls):
-    # every config field has a scalar default; None (reservation_timeout) is a float
-    return {f.name: (float if f.default is None else type(f.default))
-            for f in fields(cls)}
+    # every config field has a scalar default
+    return {f.name: type(f.default) for f in fields(cls)}
 
 
 def parse_config(path, overrides=None):
@@ -99,10 +98,7 @@ def write_resolved_config(path, sim_cfg, qrep_cfg, topo_cfg):
     for section, cfg in (("sim", sim_cfg), ("qrep", qrep_cfg), ("topology", topo_cfg)):
         lines.append(f"[{section}]")
         for f in fields(cfg):
-            value = getattr(cfg, f.name)
-            if value is None:
-                continue
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
         lines.append("")
     Path(path).write_text("\n".join(lines), encoding="ascii")
 
@@ -262,7 +258,7 @@ def main(argv=None):
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_compare(args)
-    except (ConfigurationError, CompareError) as exc:
+    except (ConfigurationError, PlacementError, CompareError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

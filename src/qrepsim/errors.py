@@ -10,7 +10,7 @@ class ConfigurationError(QRepSimError):
 
 
 class PlacementError(QRepSimError):
-    """An object could not be placed on any node."""
+    """An object could not be placed on any node (CLI exit code 2)."""
 
 
 class SelectionError(QRepSimError):

@@ -31,22 +31,22 @@ class Overlay:
     @classmethod
     def from_adjacency(cls, adjacency):
         """Build from {node: iterable-of-neighbors}; symmetrizes the input."""
-        n = len(adjacency)
-        sets = [set() for _ in range(n)]
+        sets = [set() for _ in range(len(adjacency))]
         for u, nbrs in adjacency.items():
             for v in nbrs:
                 if u == v:
                     raise ConfigurationError(f"self-loop on node {u}")
                 sets[u].add(v)
                 sets[v].add(u)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        chunks = []
-        for u in range(n):
-            nbrs = np.array(sorted(sets[u]), dtype=np.int64)
-            chunks.append(nbrs)
-            indptr[u + 1] = indptr[u] + len(nbrs)
-        indices = np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
-        return cls(n, indptr, indices)
+        return cls.from_neighbor_sets(sets)
+
+    @classmethod
+    def from_neighbor_sets(cls, sets):
+        """Build from symmetric neighbor sets, `sets[u]` holding u's neighbors."""
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(nbrs) for nbrs in sets])
+        indices = np.array([v for nbrs in sets for v in sorted(nbrs)], dtype=np.int64)
+        return cls(len(sets), indptr, indices)
 
     def neighbors(self, u):
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -135,14 +135,7 @@ def generate_topology(n, avg_degree, seed, max_retries=64):
                 b = int(giant_nodes[rng.integers(0, len(giant_nodes))])
                 sets[a].add(b)
                 sets[b].add(a)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        rows = []
-        for u in range(n):
-            row = np.array(sorted(sets[u]), dtype=np.int64)
-            rows.append(row)
-            indptr[u + 1] = indptr[u] + len(row)
-        indices = np.concatenate(rows) if indptr[-1] else np.zeros(0, np.int64)
-        return Overlay(n, indptr, indices)
+        return Overlay.from_neighbor_sets(sets)
     raise ConfigurationError(
         f"could not generate a connected graph (n={n}, avg_degree={avg_degree}) "
         f"after {max_retries} attempts; raise the density or the retry limit")
@@ -188,9 +181,8 @@ class Network:
     """Full mutable simulation state: one overlay plus all per-node tables.
 
     Store membership, originals, popularity, per-object request counters and
-    insertion times are (n_objects, n_nodes) matrices; Q-tables and
-    replication lists are small per-node dicts touched only during
-    replication rounds.
+    insertion times are (n_objects, n_nodes) matrices; Q-tables are small
+    per-node dicts touched only during replication rounds.
     """
 
     def __init__(self, overlay, bandwidth, capacity, up, obj_size):
@@ -216,11 +208,7 @@ class Network:
         self.replicated = np.zeros((m, n), dtype=np.bool_)
 
         self.n_q = np.zeros(n, dtype=np.int64)
-        self.since_update = np.zeros(n, dtype=np.int64)
         self.q_tables = [dict() for _ in range(n)]
-        self.q_built_at = np.full(n, -1, dtype=np.int64)
-        # object -> (reserving source, expiry ms)
-        self.reservations = [dict() for _ in range(n)]
 
     # -- store bookkeeping -------------------------------------------------
 

@@ -1,15 +1,14 @@
 """The replication engine: popularity accounting, Q-table lifecycle, site
 selection, transfer with eviction, rewards, and Q-value updates.
 
-Replication rounds are atomic within one scan event: a source refreshes its
-Q-table at most once per scan period, selects target sites above the mean
-Q-value, reserves them, transfers, then applies the learning update from
-the returned reinforcement signals.
+Replication rounds are atomic within one scan event: a source with objects
+to replicate refreshes its Q-table, selects target sites above the mean
+Q-value, transfers, then applies the learning update from the returned
+reinforcement signals.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,6 @@ class QRepParams:
     update_every: int = 50         # requests between popularity refreshes
     hello_ttl: int = 2             # hop limit for candidate discovery
     hello_walkers: int = 6
-    reservation_timeout: Optional[float] = None   # seconds; None -> delta
     reward_floor: bool = False     # floor each reward term before summing
     rereplicate_on_threshold: bool = False
 
@@ -58,12 +56,6 @@ class QRepParams:
             raise ConfigurationError(f"p_th must be nonnegative, got {self.p_th}")
         if self.update_every < 1 or self.hello_ttl < 1 or self.hello_walkers < 1:
             raise ConfigurationError("update_every, hello_ttl and hello_walkers must be >= 1")
-        if self.reservation_timeout is not None and self.reservation_timeout <= 0:
-            raise ConfigurationError("reservation_timeout must be positive when set")
-
-    @property
-    def reservation_timeout_s(self):
-        return self.delta if self.reservation_timeout is None else self.reservation_timeout
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,6 @@ def record_visits(net, visited, obj):
     rq_row = net.rq[obj]
     for v in visited:
         net.n_q[v] += 1
-        net.since_update[v] += 1
         if held[v]:
             rq_row[v] += 1
 
@@ -91,7 +82,7 @@ def record_visits(net, visited, obj):
 def refresh_due(net, visited, params):
     """Refresh the popularities of visited nodes whose request window is
     full, in visit order; returns how many were due."""
-    due = [v for v in visited if net.since_update[v] >= params.update_every]
+    due = [v for v in visited if net.n_q[v] >= params.update_every]
     for v in due:
         update_popularities(net, v, params)
     return len(due)
@@ -111,7 +102,6 @@ def update_popularities(net, node, params):
         net.pf[stored, node] += params.eta * (net.rq[stored, node] / nq) * 100.0
     net.rq[:, node] = 0
     net.n_q[node] = 0
-    net.since_update[node] = 0
 
 
 def scan_for_replication(net, node, params):
@@ -132,7 +122,7 @@ def init_q_value(bandwidth, storage_available, params):
     return (bandwidth / params.b_min + storage_available / params.s_min) * 100.0
 
 
-def build_q_table(net, ctx, node, params, now_ms):
+def build_q_table(net, ctx, node, params):
     """Hello-sweep the neighborhood and merge responders into the Q-table.
 
     New peers enter with the initial Q-value; peers already known keep their
@@ -142,7 +132,6 @@ def build_q_table(net, ctx, node, params, now_ms):
                                        params.hello_ttl):
         if peer not in table:
             table[peer] = init_q_value(bw, savbl, params)
-    net.q_built_at[node] = now_ms
     return table
 
 
@@ -152,10 +141,9 @@ def select_target_sites(net, node, object_key, params, now_ms):
     """Pick replication targets: Q-value >= table mean, then probe each.
 
     Candidates are probed best-first; a candidate is left out when it is
-    down, already holds the object, or has it reserved by someone else.
-    Survivors get the object reserved in their replication list. Returns
-    (targets, probes) where probes is [(peer, status)] with status in
-    selected/down/holds_copy/reserved, in probe order.
+    down or already holds the object. Returns (targets, probes) where probes
+    is [(peer, status)] with status in selected/down/holds_copy, in probe
+    order.
     """
     table = net.q_tables[node]
     if not table:
@@ -163,7 +151,6 @@ def select_target_sites(net, node, object_key, params, now_ms):
     avg_q = sum(table.values()) / len(table)
     candidates = sorted(((p, q) for p, q in table.items() if q >= avg_q),
                         key=lambda item: (-item[1], item[0]))
-    expiry = now_ms + int(round(params.reservation_timeout_s * 1000))
     targets = []
     probes = []
     for peer, _q in candidates:
@@ -173,13 +160,6 @@ def select_target_sites(net, node, object_key, params, now_ms):
         if net.holds[object_key, peer]:
             probes.append((peer, "holds_copy"))
             continue
-        held = net.reservations[peer].get(object_key)
-        if held is not None:
-            if held[1] > now_ms:
-                probes.append((peer, "reserved"))
-                continue
-            del net.reservations[peer][object_key]
-        net.reservations[peer][object_key] = (node, expiry)
         targets.append(peer)
         probes.append((peer, "selected"))
     return targets, probes
@@ -213,12 +193,11 @@ def evict_for_space(net, node, needed, now_ms):
 
 
 def replicate_object(net, source, object_key, targets, params, now_ms):
-    """Transfer the object to each reserved target; collect their signals.
+    """Transfer the object to each selected target; collect their signals.
 
-    Targets that went down since selection contribute nothing (their
-    reservation expires on its own); targets that cannot make space are
-    skipped likewise. A successful store clears the reservation, charges
-    storage, and reports (degree, bandwidth, available storage) measured
+    Targets that went down since selection contribute nothing; targets that
+    cannot make space are skipped likewise. A successful store charges
+    storage and reports (degree, bandwidth, available storage) measured
     after the store. The source's copy is flagged replicated once at least
     one placement lands."""
     size = net.obj_size[object_key]
@@ -231,7 +210,6 @@ def replicate_object(net, source, object_key, targets, params, now_ms):
                 evict_for_space(net, target, size, now_ms)
             except EvictionError:
                 continue
-        net.reservations[target].pop(object_key, None)
         net.store_object(target, object_key, now_ms)
         signals.append(ReinforcementSignal(
             from_peer=target,
@@ -281,8 +259,8 @@ def apply_round_updates(net, source, probes, signals, params):
     """Apply learning results of one round to the source's Q-table.
 
     Placed peers learn from their reward, down peers are punished, copy
-    holders keep their value, everyone else (reserved elsewhere, skipped,
-    below the mean) is untouched."""
+    holders keep their value, everyone else (skipped, below the mean) is
+    untouched."""
     table = net.q_tables[source]
     placed = {sig.from_peer: sig for sig in signals}
     for peer, status in probes:
@@ -296,15 +274,13 @@ def apply_round_updates(net, source, probes, signals, params):
 
 
 def run_replication_round(net, ctx, source, params, now_ms):
-    """Full round for one node: scan, refresh table if stale, replicate.
+    """Full round for one node: scan, refresh the table, replicate.
 
     Returns the number of replicas placed."""
     selected = scan_for_replication(net, source, params)
     if not selected:
         return 0
-    delta_ms = int(round(params.delta * 1000))
-    if net.q_built_at[source] < 0 or now_ms - net.q_built_at[source] >= delta_ms:
-        build_q_table(net, ctx, source, params, now_ms)
+    build_q_table(net, ctx, source, params)
     placed = 0
     for obj in selected:
         try:

@@ -181,7 +181,7 @@ def apply_churn(net, config, rng):
     """Flip churn_flip_fraction of the down set up and as many up nodes down.
 
     Both samples come from the pre-churn sets, so the up-node count is
-    invariant. Stores, Q-tables and reservations survive the outage.
+    invariant. Stores and Q-tables survive the outage.
     """
     down = np.nonzero(~net.up)[0]
     up = np.nonzero(net.up)[0]
@@ -220,14 +220,6 @@ class InvariantChecker:
             self._report(f"t={now_ms}: negative popularity")
         if net.free.min() < -1e-9:
             self._report(f"t={now_ms}: negative free storage")
-        for v in range(net.n_nodes):
-            res = net.reservations[v]
-            if not res:
-                continue
-            for obj, (_src, expiry) in res.items():
-                if expiry > now_ms and net.holds[obj, v]:
-                    self._report(
-                        f"t={now_ms}: node {v} holds object {obj} while it is reserved")
 
     def after_round(self, source, now_ms):
         for peer, q in self.net.q_tables[source].items():
@@ -321,7 +313,7 @@ class Simulation:
             delta_ms = int(round(self.params.delta * 1000))
             scan_times = list(range(delta_ms, int(times[-1]) + 1, delta_ms))
             for v in np.nonzero(self.net.up)[0]:
-                qrep.build_q_table(self.net, self.ctx, int(v), self.params, 0)
+                qrep.build_q_table(self.net, self.ctx, int(v), self.params)
 
         rows = []
         issued_total = 0
@@ -360,8 +352,3 @@ class Simulation:
             rows.append(collect_metrics(self.net, len(rows), win_issued,
                                         win_succeeded, win_hops))
         return rows
-
-
-def run(config, params=None, topology=None, **kwargs):
-    """Convenience wrapper: build a Simulation and run it."""
-    return Simulation(config, params, topology, **kwargs).run()

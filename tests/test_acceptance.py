@@ -110,7 +110,6 @@ def test_criterion_2_selection_oracle():
         peers = rng.sample(range(1, n), size)
         table = {p: rng.uniform(0, 1000) for p in peers}
         net.q_tables[0] = dict(table)
-        now = 1_000
         excluded = {}
         for p in peers:
             mode = rng.random()
@@ -119,22 +118,15 @@ def test_criterion_2_selection_oracle():
                 excluded[p] = "down"
             elif mode < 0.3:
                 net.store_object(p, 0, 0)
-                excluded[p] = "holds"
-            elif mode < 0.45:
-                expiry = rng.choice([500, 5_000])          # expired vs live
-                net.reservations[p][0] = (24, expiry)
-                if expiry > now:
-                    excluded[p] = "reserved"
+                excluded[p] = "holds_copy"
 
         mean = sum(table.values()) / len(table)
-        expected = sorted((p for p, q in table.items()
-                           if q >= mean and p not in excluded),
-                          key=lambda p: (-table[p], p))
-        targets, _ = select_target_sites(net, 0, 0, QRepParams(), now_ms=now)
-        if targets != expected:
-            failures += 1
-            continue
-        if any(net.reservations[t].get(0, (None, 0))[0] != 0 for t in targets):
+        probe_order = sorted((p for p, q in table.items() if q >= mean),
+                             key=lambda p: (-table[p], p))
+        expected_probes = [(p, excluded.get(p, "selected")) for p in probe_order]
+        expected = [p for p in probe_order if p not in excluded]
+        targets, probes = select_target_sites(net, 0, 0, QRepParams(), now_ms=1_000)
+        if targets != expected or probes != expected_probes:
             failures += 1
     _report(2, "AvgQ selection equals brute force", failures == 0,
             f"({failures} mismatches in 200 snapshots)")
@@ -149,7 +141,7 @@ def test_criterion_3_invariant_suite():
     checker = sim.checker
     ok = (checker.violations == [] and checker.events_checked > 50_000
           and len({r.up_node_count for r in rows}) == 1)
-    _report(3, "invariant suite (storage, reservations, churn, pf/q >= 0)", ok,
+    _report(3, "invariant suite (storage, churn, pf/q >= 0)", ok,
             f"({checker.events_checked} events checked, "
             f"{len(checker.violations)} violations)")
 

@@ -1,10 +1,16 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from qrepsim.baselines import STRATEGIES
 from qrepsim.cli import (compare_runs, emit_csv, main, parse_config,
                          write_resolved_config)
 from qrepsim.errors import CompareError, ConfigurationError
-from qrepsim.sim import MetricsRow
+from qrepsim.qrep import QRepParams
+from qrepsim.sim import MetricsRow, SimConfig, TopologyConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _row(**kwargs):
@@ -70,6 +76,20 @@ def test_unknown_section_rejected(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(tmp_path / "nope.ini")
+
+
+def test_readme_config_documents_the_defaults(tmp_path):
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text("\n".join(line.split(";")[0] for line in block.splitlines()))
+    assert parse_config(cfg) == (SimConfig(), QRepParams(), TopologyConfig())
+
+
+def test_reservation_timeout_is_unknown(tmp_path):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[qrep]\nreservation_timeout = 1000\n")
+    with pytest.raises(ConfigurationError, match="unknown key 'reservation_timeout'"):
+        parse_config(cfg)
 
 
 def test_resolved_config_round_trips(tmp_path):
@@ -146,6 +166,15 @@ def test_simulate_bad_seed_exits_2_before_writing(tmp_path, flags):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flags) == 2
     assert not list(out.glob("*.csv")) and not (out / "config.resolved.ini").exists()
+
+
+def test_simulate_catalog_too_large_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[sim]\nnode_count = 10\nobject_count = 500\n\n"
+                   "[topology]\nstorage_min = 1\nstorage_max = 2\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_override_flags(tmp_path):

@@ -26,7 +26,7 @@ def test_params_defaults_valid():
     dict(w1=0.3, w2=0.4, w3=0.3),              # w2 not strictly smallest
     dict(w1=0.5, w2=0.2, w3=0.5),              # sum != 1
     dict(b_min=0.0), dict(d_min=-1.0), dict(p_th=-2.0),
-    dict(update_every=0), dict(hello_ttl=0), dict(reservation_timeout=0.0),
+    dict(update_every=0), dict(hello_ttl=0),
 ])
 def test_params_invariants_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -40,7 +40,7 @@ def test_record_request_held_and_absent():
     net.store_object(0, 0, 0)
     record_visits(net, [0], 0)
     record_visits(net, [0], 1)
-    assert net.n_q[0] == 2 and net.since_update[0] == 2
+    assert net.n_q[0] == 2
     assert net.rq[0, 0] == 1 and net.rq[1, 0] == 0
 
 
@@ -57,11 +57,9 @@ def test_batched_visit_counting_matches_scalar():
         record_visits(net_b, [v], 0)
     for net in (net_a, net_b):
         assert net.n_q.tolist() == [1, 0, 1, 0, 1, 1]
-        assert net.since_update.tolist() == [1, 0, 1, 0, 1, 1]
         assert net.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
     record_visits(net_a, [4, 0], 1)
     assert net_a.n_q.tolist() == [2, 0, 1, 0, 2, 1]
-    assert net_a.since_update.tolist() == [2, 0, 1, 0, 2, 1]
     assert net_a.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
 
 
@@ -99,18 +97,18 @@ def test_refresh_due_updates_only_full_windows():
     net = build_network({0: [1], 1: [2], 2: []}, n_objects=1)
     for v in range(3):
         net.store_object(v, 0, 0)
-    net.rq[0], net.n_q[:], net.since_update[:] = [5, 5, 5], 50, [50, 49, 50]
+    net.rq[0], net.n_q[:] = [5, 5, 5], [50, 49, 50]
     assert refresh_due(net, [2, 1], P) == 1        # node 0 was not visited
     assert net.pf[0].tolist() == [0.0, 0.0, 5.0]
-    assert net.since_update.tolist() == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
+    assert net.n_q.tolist() == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
 
 
 def test_popularity_window_counters_reset():
     net = build_network({0: []}, n_objects=1)
     net.store_object(0, 0, 0)
-    net.rq[0, 0], net.n_q[0], net.since_update[0] = 7, 50, 50
+    net.rq[0, 0], net.n_q[0] = 7, 50
     update_popularities(net, 0, P)
-    assert net.rq[0, 0] == 0 and net.n_q[0] == 0 and net.since_update[0] == 0
+    assert net.rq[0, 0] == 0 and net.n_q[0] == 0
 
 
 def test_popularity_monotone_nonnegative():
@@ -155,24 +153,23 @@ def test_init_q_value_examples():
 def test_build_q_table_initializes_from_responses():
     net = star_network(leaves=2, bandwidth=[0.0, 56.0, 112.0], capacity=[9.0, 1.0, 2.0])
     params = QRepParams(hello_ttl=1, hello_walkers=2)
-    table = build_q_table(net, make_ctx(net), 0, params, now_ms=0)
+    table = build_q_table(net, make_ctx(net), 0, params)
     assert table[1] == pytest.approx(200.0)      # (56/56 + 1/1) * 100
     assert table[2] == pytest.approx(400.0)      # (112/56 + 2/1) * 100
-    assert net.q_built_at[0] == 0
 
 
 def test_build_q_table_empty_when_alone():
     net = star_network(leaves=2, up=[True, False, False])
-    table = build_q_table(net, make_ctx(net), 0, P, now_ms=0)
+    table = build_q_table(net, make_ctx(net), 0, P)
     assert table == {}
 
 
 def test_build_q_table_preserves_learned_values():
     net = star_network(leaves=2)
     params = QRepParams(hello_ttl=1, hello_walkers=2)
-    build_q_table(net, make_ctx(net), 0, params, now_ms=0)
+    build_q_table(net, make_ctx(net), 0, params)
     net.q_tables[0][1] = 777.0
-    build_q_table(net, make_ctx(net), 0, params, now_ms=50)
+    build_q_table(net, make_ctx(net), 0, params)
     assert net.q_tables[0][1] == 777.0
 
 
@@ -190,18 +187,16 @@ def test_select_mean_filter():
     net = _net_with_table([100.0, 200.0, 300.0])
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     assert targets == [3, 2]                      # q >= 200, best first
-    assert all(net.reservations[t][0][0] == 0 for t in targets)
     assert [s for _, s in probes] == ["selected", "selected"]
 
 
-def test_select_excludes_holders_down_reserved():
-    net = _net_with_table([300.0, 300.0, 300.0, 300.0])
+def test_select_excludes_holders_and_down():
+    net = _net_with_table([300.0, 300.0, 300.0])
     net.store_object(2, 0, 0)                     # peer 2 holds the object
     net.up[3] = False
-    net.reservations[4][0] = (9, 10_000)          # unexpired, other source
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     assert targets == [1]
-    assert dict(probes) == {1: "selected", 2: "holds_copy", 3: "down", 4: "reserved"}
+    assert dict(probes) == {1: "selected", 2: "holds_copy", 3: "down"}
 
 
 def test_select_all_holders_empty():
@@ -218,29 +213,10 @@ def test_select_single_entry_is_its_own_mean():
     assert targets == [1]
 
 
-def test_select_expired_reservation_taken_over():
-    net = _net_with_table([50.0])
-    net.reservations[1][0] = (9, 100)             # expires at t=100
-    targets, _ = select_target_sites(net, 0, 0, P, now_ms=200)
-    assert targets == [1]
-    assert net.reservations[1][0][0] == 0
-
-
 def test_select_empty_table_raises():
     net = _net_with_table([])
     with pytest.raises(SelectionError):
         select_target_sites(net, 0, 0, P, now_ms=0)
-
-
-def test_reservation_exclusivity_between_sources():
-    net = build_network({0: [1], 1: [2], 2: [], 3: [1]}, n_objects=1, capacity=5.0)
-    net.q_tables[0] = {1: 120.0}
-    net.q_tables[3] = {1: 500.0}
-    targets_a, _ = select_target_sites(net, 0, 0, P, now_ms=0)
-    assert targets_a == [1]
-    # a second source selecting the same object sees the reservation
-    targets_b, probes_b = select_target_sites(net, 3, 0, P, now_ms=10)
-    assert targets_b == [] and probes_b == [(1, "reserved")]
 
 
 # -- reward and update ---------------------------------------------------------
@@ -357,7 +333,6 @@ def test_replicate_two_targets_two_signals():
     assert net.replicated[0, 0]
     for sig in signals:
         assert net.holds[0, sig.from_peer]
-        assert not net.reservations[sig.from_peer]
         assert sig.storage_available == 4.0      # measured after the store
     apply_round_updates(net, 0, probes, signals, P)
     expected = update_q(300.0, "placed",
@@ -367,15 +342,49 @@ def test_replicate_two_targets_two_signals():
 
 
 def test_replicate_skips_full_target_keeps_reservation():
+    # The name is kept from when a selected target was held by a reservation;
+    # what remains to check is that a target full of originals is skipped and
+    # keeps what it stores.
     net = _net_with_table([300.0], n_objects=2)
     net.capacity[1] = 1.0
     net.free[1] = 1.0
     net.store_object(1, 0, 0, original=True)      # full with an original
-    targets, _ = select_target_sites(net, 0, 1, P, now_ms=0)
+    table = dict(net.q_tables[0])
+    targets, probes = select_target_sites(net, 0, 1, P, now_ms=0)
     assert targets == [1]
     signals = replicate_object(net, 0, 1, targets, P, now_ms=5)
     assert signals == [] and not net.replicated[1, 0]
-    assert 1 in net.reservations[1]               # left to expire
+    assert net.holds[:, 1].tolist() == [True, False]
+    assert net.free[1] == 0.0
+    apply_round_updates(net, 0, probes, signals, P)
+    assert net.q_tables[0] == table
+
+
+def test_reservation_exclusivity_between_sources():
+    # The name is kept from when the first source's reservation kept a second
+    # source away; without reservations both select the full peer, and the
+    # peer still receives nothing from either.
+    net = build_network({0: [1], 1: [2], 2: [], 3: [1]}, n_objects=2, capacity=5.0)
+    net.capacity[1] = 1.0
+    net.free[1] = 1.0
+    net.store_object(1, 1, 0, original=True)      # peer 1 full with an original
+    for source in (0, 3):
+        net.store_object(source, 0, 0, original=True)
+    net.q_tables[0] = {1: 120.0}
+    net.q_tables[3] = {1: 500.0}
+    tables = [dict(t) for t in net.q_tables]
+    delta_ms = int(P.delta * 1000)
+    for now_ms in (delta_ms, 2 * delta_ms):       # two scans, both sources in turn
+        for source in (0, 3):
+            targets, probes = select_target_sites(net, source, 0, P, now_ms)
+            assert targets == [1] and probes == [(1, "selected")]
+            signals = replicate_object(net, source, 0, targets, P, now_ms)
+            assert signals == []
+            apply_round_updates(net, source, probes, signals, P)
+    assert net.holds[:, 1].tolist() == [False, True]
+    assert net.free[1] == 0.0
+    assert [dict(t) for t in net.q_tables] == tables
+    assert not net.replicated[0, 0] and not net.replicated[0, 3]
 
 
 def test_replicate_evicts_to_make_room():

@@ -203,7 +203,7 @@ def test_popularity_refresh_triggered_by_traffic():
     sim = Simulation(cfg)
     sim.run()
     net = sim.net
-    assert (net.since_update < QRepParams().update_every).all()
+    assert (net.n_q < QRepParams().update_every).all()
     held = np.nonzero(net.holds.any(axis=1))[0]
     assert net.pf[held].max() > 0
 
