@@ -226,14 +226,18 @@ def _cmd_simulate(args):
     if args.seed_stride < 1:
         raise ConfigurationError("--seed-stride must be >= 1")
     sim_cfg, qrep_cfg, topo_cfg = parse_config(args.config, overrides)
+    # built before anything is written, so a catalog that does not fit
+    # leaves no output directory behind
+    first = Simulation(sim_cfg, qrep_cfg, topo_cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out_dir / "config.resolved.ini", sim_cfg, qrep_cfg, topo_cfg)
     for i in range(args.repeat):
         seed = sim_cfg.seed + i * args.seed_stride
-        cfg = replace(sim_cfg, seed=seed)
-        rows = Simulation(cfg, qrep_cfg, topo_cfg).run()
+        simulation = first if i == 0 else Simulation(replace(sim_cfg, seed=seed),
+                                                     qrep_cfg, topo_cfg)
+        rows = simulation.run()
         csv_path = out_dir / f"metrics_seed{seed}.csv"
         emit_csv(rows, csv_path)
         final = rows[-1]

@@ -149,15 +149,16 @@ def select_target_sites(net, node, object_key, params, now_ms):
     if not table:
         raise SelectionError(f"node {node} has an empty Q-table")
     avg_q = sum(table.values()) / len(table)
-    candidates = sorted(((p, q) for p, q in table.items() if q >= avg_q),
-                        key=lambda item: (-item[1], item[0]))
+    candidates = sorted((-q, p) for p, q in table.items() if q >= avg_q)
+    up = net.up.tobytes()
+    held = net.holds[object_key].tobytes()
     targets = []
     probes = []
-    for peer, _q in candidates:
-        if not net.up[peer]:
+    for _neg_q, peer in candidates:
+        if not up[peer]:
             probes.append((peer, "down"))
             continue
-        if net.holds[object_key, peer]:
+        if held[peer]:
             probes.append((peer, "holds_copy"))
             continue
         targets.append(peer)
@@ -168,7 +169,8 @@ def select_target_sites(net, node, object_key, params, now_ms):
 def evict_for_space(net, node, needed, now_ms):
     """Free at least `needed` units by dropping replicas, never originals.
 
-    Victims go in ascending popularity, ties oldest insertion first. Raises
+    Victims go in ascending popularity, ties oldest insertion first, then
+    lowest object id. Raises
     EvictionError (leaving the store untouched) when even evicting every
     replica would not make room."""
     if needed > net.capacity[node]:
@@ -181,10 +183,10 @@ def evict_for_space(net, node, needed, now_ms):
     if net.free[node] + net.obj_size[evictable].sum() < needed:
         raise EvictionError(
             f"node {node} cannot free {needed} units even after full eviction")
-    order = sorted((int(o) for o in evictable),
-                   key=lambda o: (net.pf[o, node], net.inserted_at[o, node], o))
+    order = evictable[np.lexsort((evictable, net.inserted_at[evictable, node],
+                                  net.pf[evictable, node]))]
     removed = []
-    for obj in order:
+    for obj in order.tolist():
         if net.free[node] >= needed:
             break
         net.remove_object(node, obj)

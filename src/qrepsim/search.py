@@ -1,16 +1,24 @@
 """k-random-walk query and Hello discovery: the simulator's one walk engine.
 
 One query (or hello sweep) is one logical message: all k walkers share a
-message id, and every node they touch remembers, per message, which
-neighbors are already involved (both directions of a used edge). A walker
-arriving where all neighbors are down or already used simply halts.
+message id, and the message remembers which overlay edges it has used,
+closed in both directions, so a walker never crosses an edge another walker
+of the same message crossed. A walker arriving where all neighbors are down
+or already used simply halts.
 
-The only randomness in a walk is a MINSTD linear congruential stream, so a
-walk depends on nothing but the stream state and the network.
+Walks read `up` and the query's `holds` row as bytes, copied once per walk,
+and step over an up-filtered adjacency that `WalkContext` rebuilds only
+when `up` changes, which happens at churn.
+
+The only randomness in a walk is a MINSTD linear congruential stream, kept
+in `WalkContext.state` and stepped inline by the walk, so a walk depends on
+nothing but the stream state and the network.
 """
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 MINSTD_M = 2147483647  # 2**31 - 1
 MINSTD_A = 48271
@@ -28,23 +36,32 @@ class QueryOutcome:
 class WalkContext:
     """The overlay every walk of a run crosses and the run's walk stream.
 
-    The CSR arrays are kept as Python lists, which the walk indexes one
-    element at a time much faster than numpy arrays."""
+    `state` is the MINSTD stream state; a walk advances it with
+    state = MINSTD_A * state % MINSTD_M per draw and draws index
+    (state - 1) % n. The adjacency a walk steps over lists, for every node
+    in CSR order, its up neighbors as (undirected edge id, neighbor) pairs,
+    where the undirected id of edge j is min(j, edge_rev[j]). It is built
+    on the first walk and rebuilt only when the `up` bytes a walk passes
+    differ from the ones it was built for.
+    """
 
     def __init__(self, overlay, seed):
-        self.indptr = overlay.indptr.tolist()
-        self.indices = overlay.indices.tolist()
-        self.edge_rev = overlay.edge_rev.tolist()
+        self.overlay = overlay
         self.state = (int(seed) * 2654435761 + 88172645463325281) % (MINSTD_M - 1) + 1
+        self._up = None
+        self._adjacency = None
 
-    def rng_next(self):
-        """Advance the MINSTD stream; returns the new raw value in [1, M-1]."""
-        self.state = (MINSTD_A * self.state) % MINSTD_M
-        return self.state
-
-    def rng_below(self, n):
-        """Uniform draw in [0, n). Modulo bias is O(n/2**31), negligible here."""
-        return (self.rng_next() - 1) % n
+    def up_adjacency(self, up):
+        """Each node's up neighbors for `up`, the bytes of `net.up`."""
+        if up != self._up:
+            ov = self.overlay
+            bounds = ov.indptr.tolist()
+            nbrs = ov.indices.tolist()
+            edges = np.minimum(np.arange(len(nbrs)), ov.edge_rev).tolist()
+            self._adjacency = [[(edges[j], nbrs[j]) for j in range(lo, hi) if up[nbrs[j]]]
+                               for lo, hi in zip(bounds, bounds[1:])]
+            self._up = up
+        return self._adjacency
 
 
 def walk(net, ctx, origin, k, ttl, holds_row=None):
@@ -56,20 +73,23 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
     uniformly among the up neighbors whose edge this message has not used,
     and halts when there is none. With `holds_row`, the first walker to
     arrive at a node whose entry is set wins and the rest halt; without it
-    the walk just charts coverage (hello sweep).
+    the walk just charts coverage (hello sweep). A node is tested on its
+    first visit only: `holds` cannot change during a walk.
 
     Returns (paths, winner, visited): each walker's node sequence, the
     index of the winning walker or -1, and the distinct nodes visited in
     first-visit order, origin first. A down origin sends nothing.
     """
-    up = net.up
+    up = net.up.tobytes()
     if not up[origin]:
         return [], -1, []
     paths = [[origin] for _ in range(k)]
     visited = [origin]
-    if holds_row is not None and holds_row[origin]:
+    held = None if holds_row is None else holds_row.tobytes()
+    if held is not None and held[origin]:
         return paths, 0, visited
-    indptr, indices, edge_rev = ctx.indptr, ctx.indices, ctx.edge_rev
+    adjacency = ctx.up_adjacency(up)
+    state = ctx.state
     seen = {origin}
     used = set()
     live = range(k)
@@ -77,23 +97,22 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
         moved = []
         for w in live:
             path = paths[w]
-            node = path[-1]
-            eligible = [j for j in range(indptr[node], indptr[node + 1])
-                        if up[indices[j]] and j not in used]
+            eligible = [e for e in adjacency[path[-1]] if e[0] not in used]
             if not eligible:
                 continue
-            j = eligible[ctx.rng_below(len(eligible))]
-            used.add(j)
-            used.add(edge_rev[j])
-            nxt = indices[j]
+            state = MINSTD_A * state % MINSTD_M
+            edge, nxt = eligible[(state - 1) % len(eligible)]
+            used.add(edge)
             path.append(nxt)
             moved.append(w)
             if nxt not in seen:
                 seen.add(nxt)
                 visited.append(nxt)
-            if holds_row is not None and holds_row[nxt]:
-                return paths, w, visited
+                if held is not None and held[nxt]:
+                    ctx.state = state
+                    return paths, w, visited
         live = moved
+    ctx.state = state
     return paths, -1, visited
 
 

@@ -212,9 +212,9 @@ class InvariantChecker:
     def after_event(self, now_ms):
         net = self.net
         self.events_checked += 1
-        stored = net.obj_size @ net.holds
-        if not np.allclose(stored + net.free, net.capacity, atol=1e-9):
-            bad = int(np.argmax(np.abs(stored + net.free - net.capacity)))
+        drift = np.abs(net.obj_size @ net.holds + net.free - net.capacity)
+        if not drift.max() <= 1e-9:        # also true when a NaN crept in
+            bad = int(np.argmax(drift))
             self._report(f"t={now_ms}: storage accounting off at node {bad}")
         if net.pf.min() < 0:
             self._report(f"t={now_ms}: negative popularity")

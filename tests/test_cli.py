@@ -175,6 +175,7 @@ def test_simulate_catalog_too_large_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
 
 def test_cli_override_flags(tmp_path):

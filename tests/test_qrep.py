@@ -293,6 +293,16 @@ def test_evict_tiebreak_oldest_first():
     assert evict_for_space(net, 0, needed=1.0, now_ms=1_000) == [0]
 
 
+def test_evict_tiebreak_lowest_id_first():
+    # equal popularity and insertion time: ids decide, whatever the store order
+    net = build_network({0: []}, n_objects=3, capacity=3.0)
+    for obj in (2, 0, 1):
+        net.store_object(0, obj, now_ms=50)
+    net.pf[:3, 0] = 4.0
+    assert evict_for_space(net, 0, needed=2.0, now_ms=1_000) == [0, 1]
+    assert net.holds[2, 0]
+
+
 def test_evict_noop_with_space():
     net = build_network({0: []}, n_objects=1, capacity=3.0)
     net.store_object(0, 0, 0)

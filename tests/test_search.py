@@ -12,21 +12,46 @@ def walker_paths(net, ctx, origin, k, ttl):
 
 
 def test_minstd_stream_matches_reference():
-    ctx = make_ctx(line_network(2), seed=42)
+    # one walker, one hop from the hub of a star: every walk draws once, and
+    # the draw picks leaf index (s' - 1) % n, s' being the next state
+    net = star_network(leaves=7)
+    ctx = make_ctx(net, seed=42)
     reference = ctx.state
     for _ in range(100):
         reference = (48271 * reference) % 2147483647
-        assert ctx.rng_next() == reference
+        assert walker_paths(net, ctx, 0, k=1, ttl=1) == [[0, 1 + (reference - 1) % 7]]
+        assert ctx.state == reference
 
 
-def test_rng_below_range_and_determinism():
-    a = make_ctx(line_network(2), seed=7)
-    b = make_ctx(line_network(2), seed=7)
-    draws_a = [a.rng_below(n) for n in (2, 5, 17, 1000)]
-    draws_b = [b.rng_below(n) for n in (2, 5, 17, 1000)]
-    assert draws_a == draws_b
-    for value, n in zip(draws_a, (2, 5, 17, 1000)):
-        assert 0 <= value < n
+def test_walk_draw_range_and_determinism():
+    for leaves in (2, 5, 17, 1000):
+        net = star_network(leaves=leaves)
+        a, b = make_ctx(net, seed=7), make_ctx(net, seed=7)
+        picks_a = [walker_paths(net, a, 0, k=1, ttl=1)[0][1] for _ in range(20)]
+        picks_b = [walker_paths(net, b, 0, k=1, ttl=1)[0][1] for _ in range(20)]
+        assert picks_a == picks_b
+        assert all(1 <= leaf <= leaves for leaf in picks_a)
+        assert a.state == b.state
+
+
+def test_context_follows_up_changes_between_walks():
+    # one context across walks: its up-filtered adjacency must follow net.up
+    net = star_network(leaves=4)
+    net.store_object(2, 0, 0)
+    ctx = make_ctx(net)
+    assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 3, 4]
+    net.up[2] = False
+    for _ in range(5):
+        assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 3, 4]
+        out, visited = run_query(net, ctx, 0, 0, k=4, ttl=1)
+        assert not out.success and 2 not in visited
+        assert all(2 not in path for path in walker_paths(net, ctx, 0, k=4, ttl=3))
+    net.up[2] = True
+    net.up[3] = False
+    for _ in range(5):
+        assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 4]
+        out = run_query(net, ctx, 0, 0, k=4, ttl=1)[0]
+        assert out.success and out.path == (0, 2)
 
 
 def test_local_hit():

@@ -187,6 +187,19 @@ def test_churn_keeps_up_count_constant_in_run():
     assert len({r.up_node_count for r in rows}) == 1
 
 
+def test_checker_reports_small_storage_drift():
+    # the bound is absolute: 5e-4 units is far beyond 1e-9 even at the
+    # largest node, where a relative tolerance would have hidden it
+    sim = Simulation(SimConfig(node_count=40, queries_per_node=1, object_count=5, seed=4),
+                     check_invariants=True)
+    node = int(np.argmax(sim.net.capacity))
+    sim.checker.after_event(0)
+    assert sim.checker.violations == []
+    sim.net.free[node] += 5e-4
+    sim.checker.after_event(1)
+    assert sim.checker.violations == [f"t=1: storage accounting off at node {node}"]
+
+
 def test_requester_copy_flag():
     cfg = SimConfig(node_count=40, queries_per_node=40, object_count=2,
                     initial_up_fraction=1.0, churn_every_queries=0,
@@ -235,6 +248,8 @@ def test_metrics_csv_pinned(tmp_path, strategy):
     cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
                     metrics_window_queries=500, seed=21, requester_copy=True,
                     strategy=strategy)
-    rows = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3)).run()
+    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3), check_invariants=True)
+    rows = sim.run()
     path = emit_csv(rows, tmp_path / "m.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[strategy]
+    assert sim.checker.events_checked > 0 and sim.checker.violations == []
