@@ -4,7 +4,8 @@ selection, transfer with eviction, rewards, and Q-value updates.
 Replication rounds are atomic within one scan event: a source with objects
 to replicate refreshes its Q-table, selects target sites above the mean
 Q-value, transfers, then applies the learning update from the returned
-reinforcement signals.
+reinforcement signals. A peer that already holds the object is never a
+candidate, and its Q-value is left as it is.
 """
 
 import math
@@ -104,15 +105,20 @@ def update_popularities(net, node, params):
     net.n_q[node] = 0
 
 
-def scan_for_replication(net, node, params):
-    """Objects whose popularity reached the threshold and still need copies.
-
-    Returned most-popular first (ties by object id)."""
-    col = net.holds[:, node] & (net.pf[:, node] >= params.p_th)
+def wants_copies(net, params, nodes=slice(None)):
+    """Mask of held copies at `nodes` (a node id or a slice of the node axis)
+    whose popularity reached the threshold and that still need copies."""
+    mask = net.holds[:, nodes] & (net.pf[:, nodes] >= params.p_th)
     if not params.rereplicate_on_threshold:
-        col &= ~net.replicated[:, node]
-    objs = np.nonzero(col)[0]
-    return sorted((int(o) for o in objs), key=lambda o: (-net.pf[o, node], o))
+        mask &= ~net.replicated[:, nodes]
+    return mask
+
+
+def scan_for_replication(net, node, params):
+    """Objects the node should replicate now: most popular first (ties by
+    object id)."""
+    objs = np.nonzero(wants_copies(net, params, node))[0]
+    return objs[np.lexsort((objs, -net.pf[objs, node]))].tolist()
 
 
 # -- Q-table ---------------------------------------------------------------
@@ -138,31 +144,23 @@ def build_q_table(net, ctx, node, params):
 # -- selection and transfer --------------------------------------------------
 
 def select_target_sites(net, node, object_key, params, now_ms):
-    """Pick replication targets: Q-value >= table mean, then probe each.
+    """Pick replication targets: Q-value >= table mean, best first.
 
-    Candidates are probed best-first; a candidate is left out when it is
-    down or already holds the object. Returns (targets, probes) where probes
-    is [(peer, status)] with status in selected/down/holds_copy, in probe
-    order.
+    A candidate is a peer at or above the mean that is down or does not hold
+    the object; holders are left out before sorting, unprobed. Candidates go
+    best first (ties by peer id). Returns (targets, probes) where probes is
+    [(peer, status)] with status selected or down, in candidate order.
     """
     table = net.q_tables[node]
     if not table:
         raise SelectionError(f"node {node} has an empty Q-table")
     avg_q = sum(table.values()) / len(table)
-    candidates = sorted((-q, p) for p, q in table.items() if q >= avg_q)
     up = net.up.tobytes()
     held = net.holds[object_key].tobytes()
-    targets = []
-    probes = []
-    for _neg_q, peer in candidates:
-        if not up[peer]:
-            probes.append((peer, "down"))
-            continue
-        if held[peer]:
-            probes.append((peer, "holds_copy"))
-            continue
-        targets.append(peer)
-        probes.append((peer, "selected"))
+    candidates = sorted((-q, p) for p, q in table.items()
+                        if q >= avg_q and (not up[p] or not held[p]))
+    targets = [p for _neg_q, p in candidates if up[p]]
+    probes = [(p, "selected" if up[p] else "down") for _neg_q, p in candidates]
     return targets, probes
 
 
@@ -241,38 +239,32 @@ def compute_reward(degree, bandwidth, storage_available, params):
     return (t1 + t2 + t3) * 100.0
 
 
-def update_q(q, outcome, reward, alpha):
-    """One Q-value update for a probed peer.
+def update_q_placed(q, reward, alpha):
+    """Q-value of a peer that stored the replica: q + alpha * (reward - q)."""
+    return q + alpha * (reward - q)
 
-    placed      -> q + alpha * (reward - q)
-    holds_copy  -> q (value retained)
-    down        -> q * (1 - alpha) (heavy punishment, zero reward)
-    """
-    if outcome == "placed":
-        return q + alpha * (reward - q)
-    if outcome == "holds_copy":
-        return q
-    if outcome == "down":
-        return q * (1.0 - alpha)
-    raise ValueError(f"unknown update outcome: {outcome}")
+
+def update_q_down(q, alpha):
+    """Q-value of a peer found down: heavy punishment, q * (1 - alpha)."""
+    return q * (1.0 - alpha)
 
 
 def apply_round_updates(net, source, probes, signals, params):
     """Apply learning results of one round to the source's Q-table.
 
-    Placed peers learn from their reward, down peers are punished, copy
-    holders keep their value, everyone else (skipped, below the mean) is
-    untouched."""
+    Placed peers learn from their reward and down peers are punished.
+    Everyone else keeps its value: selected peers that stored nothing,
+    holders of the object (never probed) and peers below the mean."""
     table = net.q_tables[source]
     placed = {sig.from_peer: sig for sig in signals}
     for peer, status in probes:
         if status == "down":
-            table[peer] = update_q(table[peer], "down", 0.0, params.alpha)
-        elif status == "selected" and peer in placed:
+            table[peer] = update_q_down(table[peer], params.alpha)
+        elif peer in placed:
             sig = placed[peer]
             rho = compute_reward(sig.degree, sig.bandwidth,
                                  sig.storage_available, params)
-            table[peer] = update_q(table[peer], "placed", rho, params.alpha)
+            table[peer] = update_q_placed(table[peer], rho, params.alpha)
 
 
 def run_replication_round(net, ctx, source, params, now_ms):

@@ -204,6 +204,10 @@ class InvariantChecker:
         self.violations = []
         self.max_reports = max_reports
         self.events_checked = 0
+        # object sizes never change: with one size, stored size is that size
+        # times the copy count, and holds need no cast to float
+        sizes = np.unique(net.obj_size)
+        self.unit_size = float(sizes[0]) if len(sizes) == 1 else None
 
     def _report(self, message):
         if len(self.violations) < self.max_reports:
@@ -212,19 +216,24 @@ class InvariantChecker:
     def after_event(self, now_ms):
         net = self.net
         self.events_checked += 1
-        drift = np.abs(net.obj_size @ net.holds + net.free - net.capacity)
-        if not drift.max() <= 1e-9:        # also true when a NaN crept in
+        if self.unit_size is None:
+            stored = net.obj_size @ net.holds
+        else:
+            stored = self.unit_size * net.holds.view(np.uint8).sum(axis=0, dtype=np.int32)
+        drift = np.abs(stored + net.free - net.capacity)
+        # every bound is checked as `not x >= bound`, so a NaN reports too
+        if not drift.max() <= 1e-9:
             bad = int(np.argmax(drift))
             self._report(f"t={now_ms}: storage accounting off at node {bad}")
-        if net.pf.min() < 0:
-            self._report(f"t={now_ms}: negative popularity")
-        if net.free.min() < -1e-9:
-            self._report(f"t={now_ms}: negative free storage")
+        if not net.pf.min() >= 0:
+            self._report(f"t={now_ms}: negative or NaN popularity")
+        if not net.free.min() >= -1e-9:
+            self._report(f"t={now_ms}: negative or NaN free storage")
 
     def after_round(self, source, now_ms):
         for peer, q in self.net.q_tables[source].items():
-            if q < 0:
-                self._report(f"t={now_ms}: negative q for peer {peer} at node {source}")
+            if not q >= 0:
+                self._report(f"t={now_ms}: negative or NaN q for peer {peer} at node {source}")
 
     def check_churn(self, before, after, now_ms):
         if before != after:
@@ -272,11 +281,22 @@ class Simulation:
     # -- event handlers ------------------------------------------------------
 
     def _scan_event(self, now_ms):
-        for source in np.nonzero(self.net.up)[0]:
-            placed = qrep.run_replication_round(self.net, self.ctx, int(source),
-                                                self.params, now_ms)
+        """One replication round per up source with work, in id order.
+
+        With p_th > 0 a source has work when `qrep.wants_copies` marks one
+        of its copies as the scan starts. No source can gain work during the
+        scan: a fresh store has popularity 0, and popularity and `up` change
+        only in query events. A source can still lose its work to an
+        eviction, so each round rescans its own column."""
+        net, params = self.net, self.params
+        if params.p_th > 0:
+            sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
+        else:
+            sources = np.nonzero(net.up)[0]
+        for source in sources.tolist():
+            placed = qrep.run_replication_round(net, self.ctx, source, params, now_ms)
             if placed and self.checker:
-                self.checker.after_round(int(source), now_ms)
+                self.checker.after_round(source, now_ms)
 
     def _query_event(self, now_ms, origin, obj):
         """Returns (issued, success, hops)."""

@@ -17,7 +17,8 @@ def build_network(adjacency, n_objects=1, bandwidth=100.0, capacity=10.0,
         else np.asarray(capacity, dtype=np.float64)
     up_mask = np.ones(n, dtype=np.bool_) if up is None \
         else np.asarray(up, dtype=np.bool_).copy()
-    sizes = np.full(n_objects, obj_size, dtype=np.float64)
+    sizes = np.full(n_objects, obj_size, dtype=np.float64) if np.isscalar(obj_size) \
+        else np.asarray(obj_size, dtype=np.float64)
     return Network(overlay, bw, cap, up_mask, sizes)
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from qrepsim.cli import main
 from qrepsim.qrep import (QRepParams, compute_reward, init_q_value,
-                          select_target_sites, update_popularities, update_q)
+                          select_target_sites, update_popularities,
+                          update_q_down, update_q_placed)
 from qrepsim.sim import SimConfig, Simulation, TopologyConfig
 
 from helpers import build_network
@@ -83,16 +84,15 @@ def test_criterion_1_formula_oracles():
     p = QRepParams(w1=0.4, w2=0.2, w3=0.4)
     worst = max(worst, abs(compute_reward(p.d_min, p.b_min, p.s_min, p) - 1000.0))
 
-    # q update: placed / retained / punished
+    # q update: placed / punished (a holder is never probed and keeps its value)
     for _ in range(25):
         q = rng.uniform(0, 30000)
         rho = rng.uniform(0, 30000)
         alpha = rng.uniform(0.01, 0.99)
-        worst = max(worst, abs(update_q(q, "placed", rho, alpha) - (q + alpha * (rho - q))))
-        worst = max(worst, abs(update_q(q, "down", 0.0, alpha) - q * (1 - alpha)))
-        worst = max(worst, abs(update_q(q, "holds_copy", rho, alpha) - q))
-    worst = max(worst, abs(update_q(200.0, "placed", 1000.0, 0.5) - 600.0))
-    worst = max(worst, abs(update_q(200.0, "down", 0.0, 0.5) - 100.0))
+        worst = max(worst, abs(update_q_placed(q, rho, alpha) - (q + alpha * (rho - q))))
+        worst = max(worst, abs(update_q_down(q, alpha) - q * (1 - alpha)))
+    worst = max(worst, abs(update_q_placed(200.0, 1000.0, 0.5) - 600.0))
+    worst = max(worst, abs(update_q_down(200.0, 0.5) - 100.0))
 
     _report(1, "formula oracles", worst <= TOL, f"(max |err| = {worst:.2e})")
 
@@ -123,7 +123,8 @@ def test_criterion_2_selection_oracle():
         mean = sum(table.values()) / len(table)
         probe_order = sorted((p for p, q in table.items() if q >= mean),
                              key=lambda p: (-table[p], p))
-        expected_probes = [(p, excluded.get(p, "selected")) for p in probe_order]
+        expected_probes = [(p, excluded.get(p, "selected")) for p in probe_order
+                           if excluded.get(p) != "holds_copy"]   # holders go unprobed
         expected = [p for p in probe_order if p not in excluded]
         targets, probes = select_target_sites(net, 0, 0, QRepParams(), now_ms=1_000)
         if targets != expected or probes != expected_probes:
@@ -229,7 +230,7 @@ def test_criterion_8_punishment_closed_form():
     ok = True
     q = 200.0
     for k in range(1, 11):                     # exact for dyadic alpha
-        q = update_q(q, "down", 0.0, 0.5)
+        q = update_q_down(q, 0.5)
         ok &= q == 200.0 * 0.5 ** k
     rng = random.Random(8008)
     worst = 0.0
@@ -238,7 +239,7 @@ def test_criterion_8_punishment_closed_form():
         alpha = rng.uniform(0.05, 0.95)
         q = q0
         for k in range(1, 11):
-            q = update_q(q, "down", 0.0, alpha)
+            q = update_q_down(q, alpha)
             worst = max(worst, abs(q - q0 * (1 - alpha) ** k) / max(q0, 1.0))
     ok &= worst <= TOL
     _report(8, "down punishment follows q0*(1-alpha)^k", ok,

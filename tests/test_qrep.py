@@ -7,7 +7,8 @@ from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           compute_reward, evict_for_space, init_q_value,
                           record_visits, refresh_due, replicate_object,
                           run_replication_round, scan_for_replication,
-                          select_target_sites, update_popularities, update_q)
+                          select_target_sites, update_popularities,
+                          update_q_down, update_q_placed)
 
 from helpers import build_network, make_ctx, star_network
 
@@ -196,7 +197,12 @@ def test_select_excludes_holders_and_down():
     net.up[3] = False
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     assert targets == [1]
-    assert dict(probes) == {1: "selected", 2: "holds_copy", 3: "down"}
+    assert dict(probes) == {1: "selected", 3: "down"}   # the holder is not probed
+    signals = replicate_object(net, 0, 0, targets, P, now_ms=5)
+    apply_round_updates(net, 0, probes, signals, P)
+    assert net.q_tables[0][2] == 300.0            # the holder keeps its value
+    assert net.q_tables[0][3] == update_q_down(300.0, P.alpha)
+    assert net.q_tables[0][1] != 300.0            # the placed peer learned
 
 
 def test_select_all_holders_empty():
@@ -247,11 +253,8 @@ def test_reward_floor_reading():
 
 
 def test_update_q_examples():
-    assert update_q(200.0, "placed", 1000.0, 0.5) == pytest.approx(600.0)
-    assert update_q(200.0, "down", 0.0, 0.5) == pytest.approx(100.0)
-    assert update_q(200.0, "holds_copy", 12345.0, 0.5) == 200.0
-    with pytest.raises(ValueError):
-        update_q(1.0, "nonsense", 0.0, 0.5)
+    assert update_q_placed(200.0, 1000.0, 0.5) == pytest.approx(600.0)
+    assert update_q_down(200.0, 0.5) == pytest.approx(100.0)
 
 
 def test_update_q_fixed_point_and_positivity():
@@ -259,16 +262,16 @@ def test_update_q_fixed_point_and_positivity():
     for _ in range(50):
         q = rng.uniform(0, 5000)
         alpha = rng.uniform(0.01, 0.99)
-        assert update_q(q, "placed", q, alpha) == q
+        assert update_q_placed(q, q, alpha) == q
         rho = rng.uniform(0, 30000)
-        assert update_q(q, "placed", rho, alpha) >= 0
-        assert update_q(q, "down", 0.0, alpha) >= 0
+        assert update_q_placed(q, rho, alpha) >= 0
+        assert update_q_down(q, alpha) >= 0
 
 
 def test_down_punishment_geometric():
     q = 512.0
     for k in range(1, 11):
-        q = update_q(q, "down", 0.0, 0.5)
+        q = update_q_down(q, 0.5)
         assert q == 512.0 * 0.5 ** k           # exact for dyadic alpha
 
 
@@ -345,8 +348,8 @@ def test_replicate_two_targets_two_signals():
         assert net.holds[0, sig.from_peer]
         assert sig.storage_available == 4.0      # measured after the store
     apply_round_updates(net, 0, probes, signals, P)
-    expected = update_q(300.0, "placed",
-                        compute_reward(net.degree[1], 100.0, 4.0, P), P.alpha)
+    expected = update_q_placed(300.0, compute_reward(net.degree[1], 100.0, 4.0, P),
+                               P.alpha)
     assert net.q_tables[0][1] == pytest.approx(expected)
     assert net.q_tables[0][2] == pytest.approx(expected)
 
@@ -421,10 +424,10 @@ def test_replicate_down_target_no_signal():
 
 def test_round_updates_punish_down_leave_others():
     net = _net_with_table([400.0, 400.0, 100.0])
-    probes = [(1, "down"), (2, "holds_copy")]
+    probes = [(1, "down"), (2, "selected")]
     apply_round_updates(net, 0, probes, [], P)
     assert net.q_tables[0][1] == pytest.approx(200.0)
-    assert net.q_tables[0][2] == 400.0
+    assert net.q_tables[0][2] == 400.0             # selected, stored nothing
     assert net.q_tables[0][3] == 100.0             # non-participant untouched
 
 

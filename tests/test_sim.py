@@ -2,14 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrepsim.cli import emit_csv
-from qrepsim.errors import ConfigurationError
-from qrepsim.qrep import QRepParams
-from qrepsim.sim import (SimConfig, Simulation, TopologyConfig, apply_churn,
-                         collect_metrics, schedule_workload)
+from qrepsim.errors import ConfigurationError, EvictionError
+from qrepsim.qrep import QRepParams, evict_for_space
+from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
+                         apply_churn, collect_metrics, schedule_workload)
 
-from helpers import build_network
+from helpers import build_network, star_network
 
 
 def ring_network(n, **kwargs):
@@ -200,6 +202,84 @@ def test_checker_reports_small_storage_drift():
     assert sim.checker.violations == [f"t=1: storage accounting off at node {node}"]
 
 
+def test_checker_reports_small_storage_drift_mixed_sizes():
+    # with object sizes that differ, stored size is the size-weighted sum; a
+    # copy count would already be off at the first check
+    net = ring_network(40, n_objects=5, capacity=np.arange(40) + 10.0,
+                       obj_size=[0.5, 1.25, 2.0, 3.75, 1.0])
+    for obj in range(5):
+        for node in range(obj, 40, 3):
+            net.store_object(node, obj, 0, original=node == obj)
+    checker = InvariantChecker(net)
+    node = int(np.argmax(net.capacity))
+    checker.after_event(0)
+    assert checker.violations == []
+    net.free[node] += 5e-4
+    checker.after_event(1)
+    assert checker.violations == [f"t=1: storage accounting off at node {node}"]
+
+
+def test_checker_reports_nan_popularity_and_q():
+    sim = Simulation(SimConfig(node_count=40, queries_per_node=1, object_count=5, seed=4),
+                     check_invariants=True)
+    sim.net.pf[0, 0] = np.nan
+    sim.checker.after_event(1)
+    sim.net.q_tables[3][7] = np.nan
+    sim.checker.after_round(3, 2)
+    assert sim.checker.violations == ["t=1: negative or NaN popularity",
+                                      "t=2: negative or NaN q for peer 7 at node 3"]
+
+
+_STORAGE_OPS = st.lists(st.tuples(st.sampled_from(["store", "evict", "remove", "churn"]),
+                                  st.integers(0, 7), st.integers(0, 5)), max_size=80)
+
+
+@pytest.mark.parametrize("sizes", [[1.0] * 6, [0.5, 1.25, 2.0, 0.75, 3.5, 1.0]],
+                         ids=["uniform", "mixed"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(ops=_STORAGE_OPS)
+def test_storage_accounting_under_random_operations(sizes, ops):
+    # sizes and capacities are binary fractions, so the sums are exact
+    net = ring_network(8, n_objects=6, capacity=[4.0, 5.0, 6.0, 7.0] * 2, obj_size=sizes)
+    for obj in range(6):
+        net.store_object(obj, obj, 0, original=True)
+    checker = InvariantChecker(net)
+    for t, (op, node, obj) in enumerate(ops, 1):
+        if op == "store" and net.up[node] and not net.holds[obj, node]:
+            try:
+                evict_for_space(net, node, net.obj_size[obj], t)
+            except EvictionError:
+                continue
+            net.store_object(node, obj, t)
+        elif op == "evict":
+            try:
+                evict_for_space(net, node, net.obj_size[obj], t)
+            except EvictionError:
+                pass
+        elif op == "remove" and net.holds[obj, node] and not net.original[obj, node]:
+            net.remove_object(node, obj)
+        elif op == "churn":
+            apply_churn(net, SimConfig(), np.random.default_rng(t))
+        checker.after_event(t)
+        for v in range(net.n_nodes):
+            assert net.stored_size(v) + net.free[v] == net.capacity[v]
+    assert checker.violations == []
+    assert net.original.sum() == 6 and net.original[range(6), range(6)].all()
+
+
+@pytest.mark.parametrize("rereplicate", [False, True])
+def test_scan_skips_replicated_source_unless_rereplicating(rereplicate):
+    net = star_network(leaves=4, capacity=5.0, n_objects=1)
+    net.store_object(0, 0, 0, original=True)
+    net.pf[0, 0] = 9.0                            # above p_th, already replicated
+    net.replicated[0, 0] = True
+    cfg = SimConfig(node_count=5, queries_per_node=1, object_count=1, seed=3)
+    params = QRepParams(hello_ttl=1, hello_walkers=4, rereplicate_on_threshold=rereplicate)
+    sim = Simulation(cfg, params, network=net)
+    sim._scan_event(1_000)
+    assert (net.holds[0].sum() > 1) == rereplicate
+
+
 def test_requester_copy_flag():
     cfg = SimConfig(node_count=40, queries_per_node=40, object_count=2,
                     initial_up_fraction=1.0, churn_every_queries=0,
@@ -240,16 +320,25 @@ PINNED_CSV_SHA256 = {
     "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
     "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
     "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
+    # every up node scans (p_th = 0), and scans that evict (storage 2-4)
+    "qrep-p_th0": "18b1e0328459e1687fe2e4ae4f137da4cb94189db8a3e5095554757d6410993f",
+    "qrep-pressure": "62fdd06c4512d59c656007aafa5442b73e68efdc0bb45579147d18fd42366f73",
+}
+PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fields)
+    "qrep-p_th0": (dict(p_th=0.0), {}),
+    "qrep-pressure": ({}, dict(storage_min=2.0, storage_max=4.0)),
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(PINNED_CSV_SHA256))
-def test_metrics_csv_pinned(tmp_path, strategy):
+@pytest.mark.parametrize("case", sorted(PINNED_CSV_SHA256))
+def test_metrics_csv_pinned(tmp_path, case):
+    params, topology = PINNED_OVERRIDES.get(case, ({}, {}))
     cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
                     metrics_window_queries=500, seed=21, requester_copy=True,
-                    strategy=strategy)
-    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3), check_invariants=True)
+                    strategy=case.split("-")[0])
+    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3, **params),
+                     TopologyConfig(**topology), check_invariants=True)
     rows = sim.run()
     path = emit_csv(rows, tmp_path / "m.csv")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[strategy]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[case]
     assert sim.checker.events_checked > 0 and sim.checker.violations == []
