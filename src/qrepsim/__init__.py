@@ -3,9 +3,9 @@ overlays: learning-driven site selection plus owner/path/random baselines.
 """
 
 from .errors import (CompareError, ConfigurationError, EvictionError,
-                     PlacementError, QRepSimError, SelectionError)
-from .model import (AttributeProfile, Network, Overlay, generate_topology,
-                    place_initial_objects, sample_node_attributes)
+                     PlacementError, QRepSimError)
+from .model import (Network, Overlay, generate_topology, place_initial_objects,
+                    sample_node_attributes)
 from .qrep import QRepParams, ReinforcementSignal
 from .search import QueryOutcome, WalkContext
 from .sim import MetricsRow, SimConfig, Simulation, TopologyConfig
@@ -13,9 +13,9 @@ from .sim import MetricsRow, SimConfig, Simulation, TopologyConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeProfile", "CompareError", "ConfigurationError", "EvictionError",
-    "MetricsRow", "Network", "Overlay", "PlacementError", "QRepParams",
-    "QRepSimError", "QueryOutcome", "ReinforcementSignal", "SelectionError",
-    "SimConfig", "Simulation", "TopologyConfig", "WalkContext",
+    "CompareError", "ConfigurationError", "EvictionError", "MetricsRow",
+    "Network", "Overlay", "PlacementError", "QRepParams", "QRepSimError",
+    "QueryOutcome", "ReinforcementSignal", "SimConfig", "Simulation",
+    "TopologyConfig", "WalkContext",
     "generate_topology", "place_initial_objects", "sample_node_attributes",
 ]

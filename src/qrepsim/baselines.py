@@ -20,7 +20,7 @@ def place_replica(net, node, obj, now_ms):
     size = net.obj_size[obj]
     if net.free[node] < size:
         try:
-            evict_for_space(net, node, size, now_ms)
+            evict_for_space(net, node, size)
         except EvictionError:
             return False
     net.store_object(node, obj, now_ms)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
 import argparse
 import configparser
+import math
 import statistics
 import sys
 from dataclasses import fields, replace
@@ -37,7 +38,10 @@ def _coerce(name, raw, target_type):
         if target_type is int:
             return int(raw)
         if target_type is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"key {name!r}: {raw!r} is not a finite number")
+            return value
         return raw
     except ValueError:
         raise ConfigurationError(f"key {name!r}: cannot parse {raw!r} as {target_type.__name__}")

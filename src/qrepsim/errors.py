@@ -13,10 +13,6 @@ class PlacementError(QRepSimError):
     """An object could not be placed on any node (CLI exit code 2)."""
 
 
-class SelectionError(QRepSimError):
-    """Target-site selection is impossible (empty Q-table)."""
-
-
 class EvictionError(QRepSimError):
     """Not enough evictable space to satisfy a placement."""
 

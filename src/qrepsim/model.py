@@ -5,8 +5,6 @@ The simulator keeps all per-node and per-object state in flat numpy arrays
 per-visit counters work on contiguous rows.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, PlacementError
@@ -48,17 +46,12 @@ class Overlay:
         indices = np.array([v for nbrs in sets for v in sorted(nbrs)], dtype=np.int64)
         return cls(len(sets), indptr, indices)
 
-    def neighbors(self, u):
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def degree(self, u):
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def degrees(self):
         return np.diff(self.indptr)
 
     def adjacency_sets(self):
-        return [set(self.neighbors(u).tolist()) for u in range(self.node_count)]
+        indptr, indices = self.indptr.tolist(), self.indices.tolist()
+        return [set(indices[indptr[u]:indptr[u + 1]]) for u in range(self.node_count)]
 
 
 def _reverse_edges(indptr, indices):
@@ -141,38 +134,16 @@ def generate_topology(n, avg_degree, seed, max_retries=64):
         f"after {max_retries} attempts; raise the density or the retry limit")
 
 
-@dataclass(frozen=True)
-class AttributeProfile:
-    """Distributions for per-node bandwidth and storage capacity.
+def sample_node_attributes(topology, n, seed):
+    """Per-node (bandwidth, storage_capacity) arrays, deterministic per seed.
 
-    bandwidth_values/weights give a discrete class mix; storage capacity is
-    an integer drawn uniformly from [storage_min, storage_max].
-    """
-    bandwidth_values: tuple = (56.0, 1000.0)
-    bandwidth_weights: tuple = (0.2, 0.8)
-    storage_min: float = 20.0
-    storage_max: float = 100.0
-
-    def validate(self):
-        if len(self.bandwidth_values) != len(self.bandwidth_weights) or not self.bandwidth_values:
-            raise ConfigurationError("bandwidth profile needs matching nonempty values/weights")
-        if any(v <= 0 for v in self.bandwidth_values):
-            raise ConfigurationError("bandwidth values must be positive")
-        if any(w < 0 for w in self.bandwidth_weights) or abs(sum(self.bandwidth_weights) - 1.0) > 1e-9:
-            raise ConfigurationError("bandwidth weights must be nonnegative and sum to 1")
-        if self.storage_min <= 0 or self.storage_max < self.storage_min:
-            raise ConfigurationError(
-                f"storage bounds must satisfy 0 < min <= max, got "
-                f"[{self.storage_min}, {self.storage_max}]")
-
-
-def sample_node_attributes(profile, n, seed):
-    """Per-node (bandwidth, storage_capacity) arrays, deterministic per seed."""
-    profile.validate()
+    Bandwidth comes from the topology's class mix; storage capacity is an
+    integer drawn uniformly from [storage_min, storage_max]."""
+    values, weights = topology.bandwidth_profile()
     rng = np.random.default_rng(seed)
-    bandwidth = rng.choice(np.array(profile.bandwidth_values, dtype=np.float64),
-                           size=n, p=np.array(profile.bandwidth_weights))
-    capacity = rng.integers(int(profile.storage_min), int(profile.storage_max) + 1,
+    bandwidth = rng.choice(np.array(values, dtype=np.float64), size=n,
+                           p=np.array(weights))
+    capacity = rng.integers(int(topology.storage_min), int(topology.storage_max) + 1,
                             size=n).astype(np.float64)
     return bandwidth, capacity
 
@@ -242,30 +213,9 @@ class Network:
     def stored_objects(self, node):
         return np.nonzero(self.holds[:, node])[0]
 
-    def stored_size(self, node):
-        return float(self.obj_size @ self.holds[:, node])
-
     def replica_counts(self):
         """Per-object replica counts (originals excluded)."""
         return (self.holds & ~self.original).sum(axis=1)
-
-    def serialize(self):
-        """Stable text form of the generated state (golden determinism tests).
-
-        One line per node in id order: status, attributes, sorted adjacency,
-        and sorted store entries as object:size:original triples.
-        """
-        lines = [f"nodes={self.n_nodes} objects={self.n_objects}"]
-        for v in range(self.n_nodes):
-            adj = ",".join(str(int(x)) for x in self.overlay.neighbors(v))
-            store = ";".join(
-                f"{int(o)}:{self.obj_size[o]:.6f}:{int(self.original[o, v])}"
-                for o in self.stored_objects(v))
-            lines.append(
-                f"node {v} up={int(self.up[v])} bw={self.bandwidth[v]:.6f} "
-                f"cap={self.capacity[v]:.6f} free={self.free[v]:.6f} "
-                f"adj=[{adj}] store=[{store}]")
-        return "\n".join(lines) + "\n"
 
 
 def place_initial_objects(net, seed):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvictionError, SelectionError
+from .errors import ConfigurationError, EvictionError
 from .search import hello_sweep
 
 
@@ -144,7 +144,9 @@ def build_q_table(net, ctx, node, params):
 # -- selection and transfer --------------------------------------------------
 
 def select_target_sites(net, node, object_key, params, now_ms):
-    """Pick replication targets: Q-value >= table mean, best first.
+    """Pick replication targets from a nonempty Q-table: Q-value >= table
+    mean, best first. `params` and `now_ms` are unread; perfbench wraps this
+    signature positionally.
 
     A candidate is a peer at or above the mean that is down or does not hold
     the object; holders are left out before sorting, unprobed. Candidates go
@@ -152,8 +154,6 @@ def select_target_sites(net, node, object_key, params, now_ms):
     [(peer, status)] with status selected or down, in candidate order.
     """
     table = net.q_tables[node]
-    if not table:
-        raise SelectionError(f"node {node} has an empty Q-table")
     avg_q = sum(table.values()) / len(table)
     up = net.up.tobytes()
     held = net.holds[object_key].tobytes()
@@ -164,7 +164,7 @@ def select_target_sites(net, node, object_key, params, now_ms):
     return targets, probes
 
 
-def evict_for_space(net, node, needed, now_ms):
+def evict_for_space(net, node, needed):
     """Free at least `needed` units by dropping replicas, never originals.
 
     Victims go in ascending popularity, ties oldest insertion first, then
@@ -192,7 +192,7 @@ def evict_for_space(net, node, needed, now_ms):
     return removed
 
 
-def replicate_object(net, source, object_key, targets, params, now_ms):
+def replicate_object(net, source, object_key, targets, now_ms):
     """Transfer the object to each selected target; collect their signals.
 
     Targets that went down since selection contribute nothing; targets that
@@ -207,7 +207,7 @@ def replicate_object(net, source, object_key, targets, params, now_ms):
             continue
         if net.free[target] < size:
             try:
-                evict_for_space(net, target, size, now_ms)
+                evict_for_space(net, target, size)
             except EvictionError:
                 continue
         net.store_object(target, object_key, now_ms)
@@ -270,18 +270,18 @@ def apply_round_updates(net, source, probes, signals, params):
 def run_replication_round(net, ctx, source, params, now_ms):
     """Full round for one node: scan, refresh the table, replicate.
 
-    Returns the number of replicas placed."""
+    Returns the number of replicas placed. A table that is still empty
+    after the sweep (nobody answered, nobody known) ends the round: tables
+    never shrink, so no later object could find a target either."""
     selected = scan_for_replication(net, source, params)
     if not selected:
         return 0
-    build_q_table(net, ctx, source, params)
+    if not build_q_table(net, ctx, source, params):
+        return 0
     placed = 0
     for obj in selected:
-        try:
-            targets, probes = select_target_sites(net, source, obj, params, now_ms)
-        except SelectionError:
-            break   # empty table: nothing can be replicated this round
-        signals = replicate_object(net, source, obj, targets, params, now_ms)
+        targets, probes = select_target_sites(net, source, obj, params, now_ms)
+        signals = replicate_object(net, source, obj, targets, now_ms)
         apply_round_updates(net, source, probes, signals, params)
         placed += len(signals)
     return placed

@@ -8,14 +8,15 @@ churn and random placement; the MINSTD stream of :mod:`qrepsim.search` for
 the walks).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, qrep
 from .errors import ConfigurationError
-from .model import AttributeProfile, Network, generate_topology, \
-    place_initial_objects, sample_node_attributes
+from .model import Network, generate_topology, place_initial_objects, \
+    sample_node_attributes
 from .qrep import QRepParams, record_visits, refresh_due
 from .search import WalkContext, run_query
 
@@ -68,7 +69,7 @@ class SimConfig:
                 theta = float(raw.split(":", 1)[1])
             except ValueError:
                 theta = -1.0
-            if theta <= 0:
+            if not 0 < theta < math.inf:
                 raise ConfigurationError(
                     f"zipf exponent must be a positive number, got {self.query_popularity!r}")
             return "zipf", theta
@@ -90,9 +91,18 @@ class TopologyConfig:
             raise ConfigurationError("object_size must be positive")
         if self.max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
-        self.attribute_profile()
+        if not 0 < self.storage_min <= self.storage_max:
+            raise ConfigurationError(
+                f"storage bounds must satisfy 0 < min <= max, got "
+                f"[{self.storage_min}, {self.storage_max}]")
+        if not (float(self.storage_min).is_integer() and float(self.storage_max).is_integer()):
+            raise ConfigurationError(
+                f"storage bounds must be whole units, got "
+                f"[{self.storage_min}, {self.storage_max}]")
+        self.bandwidth_profile()
 
-    def attribute_profile(self):
+    def bandwidth_profile(self):
+        """Parse bandwidth_classes into (values, weights), validated."""
         values, weights = [], []
         for part in self.bandwidth_classes.split(","):
             part = part.strip()
@@ -105,10 +115,13 @@ class TopologyConfig:
             except ValueError:
                 raise ConfigurationError(
                     f"bandwidth_classes entries must look like 'value:weight', got {part!r}")
-        profile = AttributeProfile(tuple(values), tuple(weights),
-                                   self.storage_min, self.storage_max)
-        profile.validate()
-        return profile
+        if not values:
+            raise ConfigurationError("bandwidth_classes needs at least one 'value:weight' entry")
+        if not all(0 < v < math.inf for v in values):
+            raise ConfigurationError("bandwidth values must be positive and finite")
+        if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
+            raise ConfigurationError("bandwidth weights must be nonnegative and sum to 1")
+        return values, weights
 
 
 @dataclass(frozen=True)
@@ -156,10 +169,9 @@ def schedule_workload(config, net, rng):
         offset = int(rng.integers(0, max(1, int(round(mean_ms)))))
         gaps = np.round(rng.exponential(config.mean_query_interval_s,
                                         config.queries_per_node) * 1000.0).astype(np.int64)
-        t = offset + np.cumsum(gaps)
-        for i in range(1, len(t)):       # strict increase survives ms rounding
-            if t[i] <= t[i - 1]:
-                t[i] = t[i - 1] + 1
+        # strict increase survives ms rounding: t[i] >= t[i-1] + 1
+        steps = np.arange(len(gaps))
+        t = np.maximum.accumulate(offset + np.cumsum(gaps) - steps) + steps
         if kind == "uniform":
             objs = rng.integers(0, m, size=config.queries_per_node)
         else:
@@ -260,8 +272,8 @@ class Simulation:
         if network is None:
             overlay = generate_topology(config.node_count, topology.avg_degree,
                                         s_topo, topology.max_retries)
-            bandwidth, capacity = sample_node_attributes(
-                topology.attribute_profile(), config.node_count, s_attr)
+            bandwidth, capacity = sample_node_attributes(topology, config.node_count,
+                                                         s_attr)
             up = np.zeros(config.node_count, dtype=np.bool_)
             n_up = int(round(config.initial_up_fraction * config.node_count))
             rng_updown = np.random.default_rng(s_updown)

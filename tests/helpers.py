@@ -22,6 +22,11 @@ def build_network(adjacency, n_objects=1, bandwidth=100.0, capacity=10.0,
     return Network(overlay, bw, cap, up_mask, sizes)
 
 
+def stored_size(net, node):
+    """Total size of the objects the node stores, recounted from `holds`."""
+    return float(net.obj_size @ net.holds[:, node])
+
+
 def make_ctx(net, seed=1):
     return WalkContext(net.overlay, seed)
 

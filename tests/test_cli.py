@@ -178,6 +178,29 @@ def test_simulate_catalog_too_large_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
 
+@pytest.mark.parametrize("section,line", [
+    ("qrep", "delta = nan"),
+    ("sim", "query_popularity = zipf:nan"),
+    ("topology", "storage_max = inf"),
+    ("qrep", "b_min = nan"),
+    ("qrep", "p_th = nan"),
+    ("topology", "avg_degree = nan"),
+])
+def test_simulate_non_finite_value_exits_2_before_writing(tmp_path, capsys, section, line):
+    key = line.split(" = ")[0]
+    base = "".join(kept for kept in TINY.splitlines(True) if not kept.startswith(key + " "))
+    text = base.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    if text == base:
+        text += f"\n[{section}]\n{line}\n"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_override_flags(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qrepsim.errors import ConfigurationError, PlacementError
-from qrepsim.model import (AttributeProfile, Network, generate_topology,
-                           place_initial_objects, sample_node_attributes)
+from qrepsim.model import (Network, generate_topology, place_initial_objects,
+                           sample_node_attributes)
+from qrepsim.sim import TopologyConfig
 
-from helpers import build_network
+from helpers import build_network, stored_size
 
 
 # -- topology generation -----------------------------------------------------
@@ -13,20 +14,21 @@ from helpers import build_network
 def test_two_nodes_forced_edge():
     ov = generate_topology(2, 2.0, seed=0)
     assert ov.adjacency_sets() == [{1}, {0}]
-    assert ov.degree(0) == ov.degree(1) == 1
+    assert ov.degrees().tolist() == [1, 1]
 
 
 def test_er_1000_connected_with_target_degree():
     ov = generate_topology(1000, 4.0, seed=42)
+    sets = ov.adjacency_sets()
     # connectivity via BFS
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in ov.neighbors(u):
-            if int(v) not in seen:
-                seen.add(int(v))
-                stack.append(int(v))
+        for v in sets[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
     assert len(seen) == 1000
     mean_degree = ov.degrees().mean()
     assert 3.5 <= mean_degree <= 4.5
@@ -43,9 +45,9 @@ def test_topology_deterministic():
 def test_adjacency_symmetric_no_self_loops(seed):
     ov = generate_topology(120, 5.0, seed=seed)
     sets = ov.adjacency_sets()
+    assert ov.degrees().tolist() == [len(s) for s in sets]
     for u in range(120):
         assert u not in sets[u]
-        assert ov.degree(u) == len(sets[u])
         for v in sets[u]:
             assert u in sets[v]
     src = np.repeat(np.arange(120), ov.degrees())
@@ -75,15 +77,16 @@ def test_from_adjacency_rejects_self_loops():
 # -- attribute sampling --------------------------------------------------------
 
 def test_constant_profile_identical_pairs():
-    profile = AttributeProfile((100.0,), (1.0,), 50.0, 50.0)
-    bw, cap = sample_node_attributes(profile, 3, seed=0)
+    topology = TopologyConfig(bandwidth_classes="100:1", storage_min=50.0, storage_max=50.0)
+    bw, cap = sample_node_attributes(topology, 3, seed=0)
     assert bw.tolist() == [100.0, 100.0, 100.0]
     assert cap.tolist() == [50.0, 50.0, 50.0]
 
 
 def test_two_class_profile_counts():
-    profile = AttributeProfile((56.0, 1000.0), (0.5, 0.5), 20.0, 100.0)
-    bw, cap = sample_node_attributes(profile, 1000, seed=11)
+    topology = TopologyConfig(bandwidth_classes="56:0.5,1000:0.5",
+                              storage_min=20.0, storage_max=100.0)
+    bw, cap = sample_node_attributes(topology, 1000, seed=11)
     slow = int((bw == 56.0).sum())
     assert 450 <= slow <= 550            # binomial expectation 500 +- 50
     assert ((cap >= 20) & (cap <= 100)).all()
@@ -91,19 +94,33 @@ def test_two_class_profile_counts():
 
 
 def test_attribute_sampling_deterministic():
-    profile = AttributeProfile()
-    a = sample_node_attributes(profile, 200, seed=3)
-    b = sample_node_attributes(profile, 200, seed=3)
+    topology = TopologyConfig()
+    a = sample_node_attributes(topology, 200, seed=3)
+    b = sample_node_attributes(topology, 200, seed=3)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_nonpositive_support_rejected():
     with pytest.raises(ConfigurationError):
-        AttributeProfile((0.0, 10.0), (0.5, 0.5), 20.0, 100.0).validate()
+        TopologyConfig(bandwidth_classes="0:0.5,10:0.5").validate()
     with pytest.raises(ConfigurationError):
-        AttributeProfile((56.0,), (1.0,), 0.0, 100.0).validate()
+        TopologyConfig(bandwidth_classes="56:1", storage_min=0.0).validate()
     with pytest.raises(ConfigurationError):
-        AttributeProfile((56.0,), (0.7,), 20.0, 100.0).validate()
+        TopologyConfig(bandwidth_classes="56:0.7").validate()
+
+
+@pytest.mark.parametrize("classes", ["inf:1", "56:nan,1000:1"])
+def test_non_finite_bandwidth_classes_rejected(classes):
+    with pytest.raises(ConfigurationError):
+        TopologyConfig(bandwidth_classes=classes).validate()
+
+
+@pytest.mark.parametrize("bounds", [(2.5, 4.0), (2.0, 4.5)])
+def test_fractional_storage_bounds_rejected(bounds):
+    # capacities are whole units: a bound of 2.5 would silently become 2
+    storage_min, storage_max = bounds
+    with pytest.raises(ConfigurationError, match="whole units"):
+        TopologyConfig(storage_min=storage_min, storage_max=storage_max).validate()
 
 
 # -- initial placement ----------------------------------------------------------
@@ -154,7 +171,7 @@ def test_store_accounting_and_duplicate_guard():
     net.store_object(0, 0, now_ms=10)
     net.store_object(0, 1, now_ms=20, original=True)
     assert net.free[0] == 1.0
-    assert net.stored_size(0) == 2.0
+    assert stored_size(net, 0) == 2.0
     with pytest.raises(PlacementError):
         net.store_object(0, 0, now_ms=30)
     net.remove_object(0, 0)
@@ -162,14 +179,3 @@ def test_store_accounting_and_duplicate_guard():
     with pytest.raises(PlacementError):
         net.remove_object(0, 0)
 
-
-def test_serialize_deterministic():
-    def fresh():
-        ov = generate_topology(60, 4.0, seed=9)
-        net = Network(ov, np.full(60, 56.0), np.full(60, 25.0),
-                      np.ones(60, dtype=bool), np.ones(10))
-        place_initial_objects(net, seed=2)
-        return net.serialize()
-    text = fresh()
-    assert text == fresh()
-    assert text.startswith("nodes=60 objects=10")

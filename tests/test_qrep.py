@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from qrepsim.errors import ConfigurationError, EvictionError, SelectionError
+from qrepsim.errors import ConfigurationError, EvictionError
 from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           compute_reward, evict_for_space, init_q_value,
                           record_visits, refresh_due, replicate_object,
@@ -10,7 +11,7 @@ from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           select_target_sites, update_popularities,
                           update_q_down, update_q_placed)
 
-from helpers import build_network, make_ctx, star_network
+from helpers import build_network, make_ctx, star_network, stored_size
 
 P = QRepParams()
 
@@ -198,7 +199,7 @@ def test_select_excludes_holders_and_down():
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     assert targets == [1]
     assert dict(probes) == {1: "selected", 3: "down"}   # the holder is not probed
-    signals = replicate_object(net, 0, 0, targets, P, now_ms=5)
+    signals = replicate_object(net, 0, 0, targets, now_ms=5)
     apply_round_updates(net, 0, probes, signals, P)
     assert net.q_tables[0][2] == 300.0            # the holder keeps its value
     assert net.q_tables[0][3] == update_q_down(300.0, P.alpha)
@@ -219,10 +220,16 @@ def test_select_single_entry_is_its_own_mean():
     assert targets == [1]
 
 
-def test_select_empty_table_raises():
-    net = _net_with_table([])
-    with pytest.raises(SelectionError):
-        select_target_sites(net, 0, 0, P, now_ms=0)
+def test_round_with_empty_table_places_nothing():
+    # every neighbour is down, so the Hello sweep finds nobody to add
+    net = star_network(leaves=3, up=[True, False, False, False])
+    net.store_object(0, 0, 0, original=True)
+    net.pf[0, 0] = 9.0                            # above p_th, wants copies
+    before = (net.holds.copy(), net.free.copy(), net.replicated.copy())
+    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=1_000) == 0
+    assert net.q_tables[0] == {}
+    after = (net.holds, net.free, net.replicated)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 # -- reward and update ---------------------------------------------------------
@@ -282,7 +289,7 @@ def test_evict_low_popularity_first():
     net.store_object(0, 0, now_ms=1_000)      # replica, low popularity, old
     net.store_object(0, 1, now_ms=90_000)     # replica, popular, new
     net.pf[0, 0], net.pf[1, 0] = 1.0, 9.0
-    removed = evict_for_space(net, 0, needed=1.0, now_ms=100_000)
+    removed = evict_for_space(net, 0, needed=1.0)
     assert removed == [0]
     assert net.holds[1, 0] and not net.holds[0, 0]
     assert net.pf[0, 0] == 0.0                # left the popularity table
@@ -293,7 +300,7 @@ def test_evict_tiebreak_oldest_first():
     net.store_object(0, 0, now_ms=10)         # inserted earlier = larger age
     net.store_object(0, 1, now_ms=500)
     net.pf[:2, 0] = 4.0
-    assert evict_for_space(net, 0, needed=1.0, now_ms=1_000) == [0]
+    assert evict_for_space(net, 0, needed=1.0) == [0]
 
 
 def test_evict_tiebreak_lowest_id_first():
@@ -302,14 +309,14 @@ def test_evict_tiebreak_lowest_id_first():
     for obj in (2, 0, 1):
         net.store_object(0, obj, now_ms=50)
     net.pf[:3, 0] = 4.0
-    assert evict_for_space(net, 0, needed=2.0, now_ms=1_000) == [0, 1]
+    assert evict_for_space(net, 0, needed=2.0) == [0, 1]
     assert net.holds[2, 0]
 
 
 def test_evict_noop_with_space():
     net = build_network({0: []}, n_objects=1, capacity=3.0)
     net.store_object(0, 0, 0)
-    assert evict_for_space(net, 0, needed=1.0, now_ms=0) == []
+    assert evict_for_space(net, 0, needed=1.0) == []
 
 
 def test_evict_never_touches_originals():
@@ -317,22 +324,22 @@ def test_evict_never_touches_originals():
     net.store_object(0, 0, 0, original=True)
     net.store_object(0, 1, 0, original=True)
     with pytest.raises(EvictionError):
-        evict_for_space(net, 0, needed=1.0, now_ms=0)
+        evict_for_space(net, 0, needed=1.0)
     assert net.holds[:, 0].all()
 
 
 def test_evict_oversized_request():
     net = build_network({0: []}, n_objects=1, capacity=2.0)
     with pytest.raises(EvictionError):
-        evict_for_space(net, 0, needed=5.0, now_ms=0)
+        evict_for_space(net, 0, needed=5.0)
 
 
 def test_evict_accounting_balances():
     net = build_network({0: []}, n_objects=4, capacity=3.0)
     for o in range(3):
         net.store_object(0, o, now_ms=o)
-    evict_for_space(net, 0, needed=2.0, now_ms=10)
-    assert net.stored_size(0) + net.free[0] == net.capacity[0]
+    evict_for_space(net, 0, needed=2.0)
+    assert stored_size(net, 0) + net.free[0] == net.capacity[0]
 
 
 # -- transfer ------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def test_replicate_two_targets_two_signals():
     net = _net_with_table([300.0, 300.0])
     net.store_object(0, 0, 0, original=True)
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
-    signals = replicate_object(net, 0, 0, targets, P, now_ms=5)
+    signals = replicate_object(net, 0, 0, targets, now_ms=5)
     assert len(signals) == 2
     assert net.replicated[0, 0]
     for sig in signals:
@@ -365,7 +372,7 @@ def test_replicate_skips_full_target_keeps_reservation():
     table = dict(net.q_tables[0])
     targets, probes = select_target_sites(net, 0, 1, P, now_ms=0)
     assert targets == [1]
-    signals = replicate_object(net, 0, 1, targets, P, now_ms=5)
+    signals = replicate_object(net, 0, 1, targets, now_ms=5)
     assert signals == [] and not net.replicated[1, 0]
     assert net.holds[:, 1].tolist() == [True, False]
     assert net.free[1] == 0.0
@@ -391,7 +398,7 @@ def test_reservation_exclusivity_between_sources():
         for source in (0, 3):
             targets, probes = select_target_sites(net, source, 0, P, now_ms)
             assert targets == [1] and probes == [(1, "selected")]
-            signals = replicate_object(net, source, 0, targets, P, now_ms)
+            signals = replicate_object(net, source, 0, targets, now_ms)
             assert signals == []
             apply_round_updates(net, source, probes, signals, P)
     assert net.holds[:, 1].tolist() == [False, True]
@@ -406,7 +413,7 @@ def test_replicate_evicts_to_make_room():
     net.free[1] = 1.0
     net.store_object(1, 1, now_ms=1)              # an old replica fills it
     targets, _ = select_target_sites(net, 0, 0, P, now_ms=10)
-    signals = replicate_object(net, 0, 0, targets, P, now_ms=10)
+    signals = replicate_object(net, 0, 0, targets, now_ms=10)
     assert len(signals) == 1
     assert net.holds[0, 1] and not net.holds[1, 1]
 
@@ -415,7 +422,7 @@ def test_replicate_down_target_no_signal():
     net = _net_with_table([300.0])
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     net.up[1] = False                              # goes down before transfer
-    signals = replicate_object(net, 0, 0, targets, P, now_ms=1)
+    signals = replicate_object(net, 0, 0, targets, now_ms=1)
     assert signals == []
     table_before = dict(net.q_tables[0])
     apply_round_updates(net, 0, probes, signals, P)

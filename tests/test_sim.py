@@ -11,7 +11,7 @@ from qrepsim.qrep import QRepParams, evict_for_space
 from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
                          apply_churn, collect_metrics, schedule_workload)
 
-from helpers import build_network, star_network
+from helpers import build_network, star_network, stored_size
 
 
 def ring_network(n, **kwargs):
@@ -28,6 +28,7 @@ def test_config_defaults_valid():
     dict(node_count=0), dict(ttl=0), dict(mean_query_interval_s=0.0),
     dict(initial_up_fraction=1.5), dict(strategy="flood"),
     dict(query_popularity="zipf:-1"), dict(query_popularity="pareto"),
+    dict(query_popularity="zipf:nan"), dict(query_popularity="zipf:inf"),
     dict(seed=-1),
 ])
 def test_config_rejects_invalid(bad):
@@ -247,13 +248,13 @@ def test_storage_accounting_under_random_operations(sizes, ops):
     for t, (op, node, obj) in enumerate(ops, 1):
         if op == "store" and net.up[node] and not net.holds[obj, node]:
             try:
-                evict_for_space(net, node, net.obj_size[obj], t)
+                evict_for_space(net, node, net.obj_size[obj])
             except EvictionError:
                 continue
             net.store_object(node, obj, t)
         elif op == "evict":
             try:
-                evict_for_space(net, node, net.obj_size[obj], t)
+                evict_for_space(net, node, net.obj_size[obj])
             except EvictionError:
                 pass
         elif op == "remove" and net.holds[obj, node] and not net.original[obj, node]:
@@ -262,7 +263,7 @@ def test_storage_accounting_under_random_operations(sizes, ops):
             apply_churn(net, SimConfig(), np.random.default_rng(t))
         checker.after_event(t)
         for v in range(net.n_nodes):
-            assert net.stored_size(v) + net.free[v] == net.capacity[v]
+            assert stored_size(net, v) + net.free[v] == net.capacity[v]
     assert checker.violations == []
     assert net.original.sum() == 6 and net.original[range(6), range(6)].all()
 
