@@ -154,6 +154,12 @@ class Network:
     Store membership, originals, popularity, per-object request counters and
     insertion times are (n_objects, n_nodes) matrices; Q-tables are small
     per-node dicts touched only during replication rounds.
+
+    `touched` is None unless an invariant checker watches the network; it is
+    then the set of nodes whose `holds`, `free` or `pf` column changed since
+    the checker last looked. `store_object`, `remove_object` and
+    `qrep.update_popularities` are the only writers of that state, and each
+    adds its node.
     """
 
     def __init__(self, overlay, bandwidth, capacity, up, obj_size):
@@ -180,6 +186,7 @@ class Network:
 
         self.n_q = np.zeros(n, dtype=np.int64)
         self.q_tables = [dict() for _ in range(n)]
+        self.touched = None
 
     # -- store bookkeeping -------------------------------------------------
 
@@ -198,6 +205,8 @@ class Network:
         self.rq[obj, node] = 0
         self.replicated[obj, node] = False
         self.free[node] -= size
+        if self.touched is not None:
+            self.touched.add(node)
 
     def remove_object(self, node, obj):
         if not self.holds[obj, node]:
@@ -209,6 +218,8 @@ class Network:
         self.rq[obj, node] = 0
         self.replicated[obj, node] = False
         self.free[node] += self.obj_size[obj]
+        if self.touched is not None:
+            self.touched.add(node)
 
     def stored_objects(self, node):
         return np.nonzero(self.holds[:, node])[0]

@@ -53,6 +53,9 @@ class QRepParams:
         for name in ("b_min", "s_min", "d_min", "delta"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.5 < self.delta * 1000 < 2 ** 53:
+            raise ConfigurationError(
+                f"delta must round to at least 1 ms and stay below 2**53 ms, got {self.delta} s")
         if self.p_th < 0:
             raise ConfigurationError(f"p_th must be nonnegative, got {self.p_th}")
         if self.update_every < 1 or self.hello_ttl < 1 or self.hello_walkers < 1:
@@ -101,6 +104,8 @@ def update_popularities(net, node, params):
     stored = net.stored_objects(node)
     if len(stored):
         net.pf[stored, node] += params.eta * (net.rq[stored, node] / nq) * 100.0
+        if net.touched is not None:
+            net.touched.add(node)
     net.rq[:, node] = 0
     net.n_q[node] = 0
 

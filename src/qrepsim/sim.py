@@ -6,6 +6,11 @@ integer milliseconds, ties break by schedule sequence number, and every
 random stream is derived from the run seed (numpy PCG64 for setup, workload,
 churn and random placement; the MINSTD stream of :mod:`qrepsim.search` for
 the walks).
+
+With `check_invariants` an :class:`InvariantChecker` watches the run. After
+every event it checks the nodes whose stores or popularities that event
+changed; at the query event that closes a metrics window and at the last
+event it checks every node.
 """
 
 import math
@@ -45,8 +50,10 @@ class SimConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mean_query_interval_s <= 0:
-            raise ConfigurationError("mean_query_interval_s must be positive")
+        if not 0 < self.mean_query_interval_s * 1000 < 2 ** 53:
+            raise ConfigurationError(
+                f"mean_query_interval_s must be positive and below 2**53 ms, "
+                f"got {self.mean_query_interval_s}")
         for name in ("initial_up_fraction", "churn_flip_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0,1], got {getattr(self, name)}")
@@ -91,9 +98,9 @@ class TopologyConfig:
             raise ConfigurationError("object_size must be positive")
         if self.max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
-        if not 0 < self.storage_min <= self.storage_max:
+        if not 0 < self.storage_min <= self.storage_max < 2 ** 53:
             raise ConfigurationError(
-                f"storage bounds must satisfy 0 < min <= max, got "
+                f"storage bounds must satisfy 0 < min <= max < 2**53, got "
                 f"[{self.storage_min}, {self.storage_max}]")
         if not (float(self.storage_min).is_integer() and float(self.storage_max).is_integer()):
             raise ConfigurationError(
@@ -209,13 +216,20 @@ def apply_churn(net, config, rng):
 
 
 class InvariantChecker:
-    """Optional per-event verifier; records violations instead of raising."""
+    """Optional per-event verifier; records violations instead of raising.
+
+    The checker sets `net.touched` to an empty set, so the network's store
+    writers mark every node whose `holds`, `free` or `pf` column they change.
+    `after_event` checks only those nodes, unless `full` asks for every
+    node. A write that bypasses the store is invisible to the marking and
+    surfaces only at the next full check."""
 
     def __init__(self, net, max_reports=20):
         self.net = net
         self.violations = []
         self.max_reports = max_reports
         self.events_checked = 0
+        net.touched = set()
         # object sizes never change: with one size, stored size is that size
         # times the copy count, and holds need no cast to float
         sizes = np.unique(net.obj_size)
@@ -225,21 +239,33 @@ class InvariantChecker:
         if len(self.violations) < self.max_reports:
             self.violations.append(message)
 
-    def after_event(self, now_ms):
+    def after_event(self, now_ms, full=False):
+        """Check storage accounting, popularity and free storage at the nodes
+        touched since the last check (every node if `full`), in id order.
+
+        Each kind of violation is reported at most once per event; storage
+        names the first node that is off."""
         net = self.net
         self.events_checked += 1
-        if self.unit_size is None:
-            stored = net.obj_size @ net.holds
-        else:
-            stored = self.unit_size * net.holds.view(np.uint8).sum(axis=0, dtype=np.int32)
-        drift = np.abs(stored + net.free - net.capacity)
+        nodes = range(net.n_nodes) if full else sorted(net.touched)
+        net.touched.clear()
+        unit = self.unit_size
+        drifted = None
+        bad_pf = bad_free = False
         # every bound is checked as `not x >= bound`, so a NaN reports too
-        if not drift.max() <= 1e-9:
-            bad = int(np.argmax(drift))
-            self._report(f"t={now_ms}: storage accounting off at node {bad}")
-        if not net.pf.min() >= 0:
+        for v in nodes:
+            free = net.free.item(v)
+            held = net.holds[:, v]
+            stored = unit * np.count_nonzero(held) if unit is not None else net.obj_size @ held
+            if drifted is None and not abs(stored + free - net.capacity.item(v)) <= 1e-9:
+                drifted = v
+            bad_pf = bad_pf or not net.pf[:, v].min() >= 0
+            bad_free = bad_free or not free >= -1e-9
+        if drifted is not None:
+            self._report(f"t={now_ms}: storage accounting off at node {drifted}")
+        if bad_pf:
             self._report(f"t={now_ms}: negative or NaN popularity")
-        if not net.free.min() >= -1e-9:
+        if bad_free:
             self._report(f"t={now_ms}: negative or NaN free storage")
 
     def after_round(self, source, now_ms):
@@ -353,6 +379,7 @@ class Simulation:
         win_hops = 0
         next_scan = 0
 
+        last = len(times) - 1
         for i in range(len(times)):
             now = int(times[i])
             while next_scan < len(scan_times) and scan_times[next_scan] <= now:
@@ -378,7 +405,9 @@ class Simulation:
                     if self.checker:
                         self.checker.check_churn(before, int(self.net.up.sum()), now)
             if self.checker:
-                self.checker.after_event(now)
+                # every node at the event that closed a window, and at the last
+                closed = issued and win_issued == 0
+                self.checker.after_event(now, full=closed or i == last)
 
         if win_issued or not rows:
             rows.append(collect_metrics(self.net, len(rows), win_issued,

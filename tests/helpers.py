@@ -7,8 +7,9 @@ from qrepsim.search import WalkContext
 
 
 def build_network(adjacency, n_objects=1, bandwidth=100.0, capacity=10.0,
-                  up=None, obj_size=1.0):
-    """Network over an explicit adjacency dict; scalar attrs broadcast."""
+                  up=None, obj_size=1.0, network_class=Network):
+    """Network (or a subclass) over an explicit adjacency dict; scalar attrs
+    broadcast."""
     overlay = Overlay.from_adjacency(adjacency)
     n = overlay.node_count
     bw = np.full(n, bandwidth, dtype=np.float64) if np.isscalar(bandwidth) \
@@ -19,7 +20,7 @@ def build_network(adjacency, n_objects=1, bandwidth=100.0, capacity=10.0,
         else np.asarray(up, dtype=np.bool_).copy()
     sizes = np.full(n_objects, obj_size, dtype=np.float64) if np.isscalar(obj_size) \
         else np.asarray(obj_size, dtype=np.float64)
-    return Network(overlay, bw, cap, up_mask, sizes)
+    return network_class(overlay, bw, cap, up_mask, sizes)
 
 
 def stored_size(net, node):

@@ -157,8 +157,10 @@ def test_criterion_4_availability_trend():
     runtimes = []
     for seed in (301, 302, 303, 304, 305):
         start = time.time()
-        rows = Simulation(replace(base, seed=seed), params, topo).run()
+        sim = Simulation(replace(base, seed=seed), params, topo, check_invariants=True)
+        rows = sim.run()
         runtimes.append(time.time() - start)
+        assert sim.checker.violations == [], f"seed {seed}: {sim.checker.violations[:3]}"
         replicas = [r.total_replicas for r in rows]
         nondecreasing = all(b >= a for a, b in zip(replicas, replicas[1:]))
         assert nondecreasing, f"seed {seed}: replica count decreased"

@@ -178,15 +178,8 @@ def test_simulate_catalog_too_large_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
 
-@pytest.mark.parametrize("section,line", [
-    ("qrep", "delta = nan"),
-    ("sim", "query_popularity = zipf:nan"),
-    ("topology", "storage_max = inf"),
-    ("qrep", "b_min = nan"),
-    ("qrep", "p_th = nan"),
-    ("topology", "avg_degree = nan"),
-])
-def test_simulate_non_finite_value_exits_2_before_writing(tmp_path, capsys, section, line):
+def _assert_exits_2_before_writing(tmp_path, capsys, section, line):
+    """`simulate` on TINY with `line` set in `section` exits 2 and writes nothing."""
     key = line.split(" = ")[0]
     base = "".join(kept for kept in TINY.splitlines(True) if not kept.startswith(key + " "))
     text = base.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
@@ -199,6 +192,30 @@ def test_simulate_non_finite_value_exits_2_before_writing(tmp_path, capsys, sect
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,line", [
+    ("qrep", "delta = nan"),
+    ("sim", "query_popularity = zipf:nan"),
+    ("topology", "storage_max = inf"),
+    ("qrep", "b_min = nan"),
+    ("qrep", "p_th = nan"),
+    ("topology", "avg_degree = nan"),
+])
+def test_simulate_non_finite_value_exits_2_before_writing(tmp_path, capsys, section, line):
+    _assert_exits_2_before_writing(tmp_path, capsys, section, line)
+
+
+# finite, but past what a timestamp or a storage draw can hold; each used to
+# end in a traceback
+@pytest.mark.parametrize("section,line", [
+    ("topology", "storage_max = 1e300"),
+    ("sim", "mean_query_interval_s = 1e300"),
+    ("qrep", "delta = 1e-300"),
+    ("qrep", "delta = 0.0005"),                   # rounds to 0 ms
+])
+def test_simulate_extreme_value_exits_2_before_writing(tmp_path, capsys, section, line):
+    _assert_exits_2_before_writing(tmp_path, capsys, section, line)
 
 
 def test_cli_override_flags(tmp_path):

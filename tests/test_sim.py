@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError, EvictionError
+from qrepsim.model import Network, place_initial_objects
 from qrepsim.qrep import QRepParams, evict_for_space
 from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
                          apply_churn, collect_metrics, schedule_workload)
@@ -16,6 +17,38 @@ from helpers import build_network, star_network, stored_size
 
 def ring_network(n, **kwargs):
     return build_network({i: [(i + 1) % n] for i in range(n)}, **kwargs)
+
+
+def run_checked(*args, **kwargs):
+    """Run a Simulation with the invariant checker on; it must stay silent."""
+    sim = Simulation(*args, check_invariants=True, **kwargs)
+    rows = sim.run()
+    assert sim.checker.events_checked > 0 and sim.checker.violations == []
+    return rows
+
+
+def snapshot(net):
+    return net.holds.copy(), net.free.copy(), net.pf.copy()
+
+
+def changed_nodes(net, before):
+    """Nodes whose holds, free or pf column differs from the snapshot."""
+    holds, free, pf = before
+    changed = (net.holds != holds).any(axis=0) | (net.free != free) | (net.pf != pf).any(axis=0)
+    return set(np.nonzero(changed)[0].tolist())
+
+
+def record_checks(checker):
+    """Wrap the checker's after_event; returns the list it appends
+    (now_ms, full) to on every call."""
+    calls, check = [], checker.after_event
+
+    def after_event(now_ms, full=False):
+        calls.append((now_ms, full))
+        check(now_ms, full)
+
+    checker.after_event = after_event
+    return calls
 
 
 # -- config validation ----------------------------------------------------------
@@ -138,7 +171,7 @@ def test_single_node_local_hits():
     cfg = SimConfig(node_count=1, queries_per_node=20, object_count=1,
                     strategy="none", metrics_window_queries=5,
                     churn_every_queries=0, seed=4)
-    rows = Simulation(cfg, network=net).run()
+    rows = run_checked(cfg, network=net)
     assert all(r.success_rate == 1.0 for r in rows)
     assert all(r.total_replicas == 0 for r in rows)
     assert sum(r.queries_issued for r in rows) == 20
@@ -148,7 +181,7 @@ def test_none_strategy_never_replicates():
     cfg = SimConfig(node_count=80, queries_per_node=30, object_count=10,
                     strategy="none", churn_every_queries=0,
                     metrics_window_queries=500, seed=6)
-    rows = Simulation(cfg).run()
+    rows = run_checked(cfg)
     assert all(r.total_replicas == 0 for r in rows)
 
 
@@ -158,7 +191,7 @@ def test_qrep_replicas_nondecreasing_with_ample_storage():
                     churn_every_queries=0)
     params = QRepParams(delta=60.0, hello_ttl=2)
     topo = TopologyConfig(storage_min=40.0, storage_max=60.0)
-    rows = Simulation(cfg, params, topo).run()
+    rows = run_checked(cfg, params, topo)
     replicas = [r.total_replicas for r in rows]
     assert all(b >= a for a, b in zip(replicas, replicas[1:]))
     assert replicas[-1] > 0
@@ -167,14 +200,14 @@ def test_qrep_replicas_nondecreasing_with_ample_storage():
 def test_run_deterministic():
     cfg = SimConfig(node_count=60, queries_per_node=20, object_count=8,
                     metrics_window_queries=300, seed=12)
-    assert Simulation(cfg).run() == Simulation(cfg).run()
+    assert run_checked(cfg) == run_checked(cfg)
 
 
 def test_windows_have_exact_size():
     cfg = SimConfig(node_count=40, queries_per_node=30, object_count=5,
                     initial_up_fraction=1.0, churn_every_queries=0,
                     metrics_window_queries=500, strategy="owner", seed=3)
-    rows = Simulation(cfg).run()
+    rows = run_checked(cfg)
     assert [r.queries_issued for r in rows[:-1]] == [500] * (len(rows) - 1)
     assert sum(r.queries_issued for r in rows) == 1200
     assert [r.window_index for r in rows] == list(range(len(rows)))
@@ -184,23 +217,30 @@ def test_churn_keeps_up_count_constant_in_run():
     cfg = SimConfig(node_count=100, queries_per_node=40, object_count=5,
                     churn_every_queries=800, metrics_window_queries=400,
                     strategy="path", seed=8)
-    sim = Simulation(cfg, check_invariants=True)
-    rows = sim.run()
-    assert sim.checker.violations == []
+    rows = run_checked(cfg)
     assert len({r.up_node_count for r in rows}) == 1
 
+
+# The three tests below write the arrays directly, past the store, so the
+# incremental check cannot see the fault: it surfaces at a full check.
 
 def test_checker_reports_small_storage_drift():
     # the bound is absolute: 5e-4 units is far beyond 1e-9 even at the
     # largest node, where a relative tolerance would have hidden it
-    sim = Simulation(SimConfig(node_count=40, queries_per_node=1, object_count=5, seed=4),
+    sim = Simulation(SimConfig(node_count=40, queries_per_node=1, object_count=5, seed=4,
+                               metrics_window_queries=10),
                      check_invariants=True)
     node = int(np.argmax(sim.net.capacity))
     sim.checker.after_event(0)
     assert sim.checker.violations == []
     sim.net.free[node] += 5e-4
-    sim.checker.after_event(1)
+    sim.checker.after_event(1, full=True)
     assert sim.checker.violations == [f"t=1: storage accounting off at node {node}"]
+    # in a run the drift is reported at every full check and nowhere else
+    checks = record_checks(sim.checker)
+    sim.run()
+    assert sim.checker.violations[1:] == [f"t={t}: storage accounting off at node {node}"
+                                          for t, full in checks if full]
 
 
 def test_checker_reports_small_storage_drift_mixed_sizes():
@@ -213,10 +253,10 @@ def test_checker_reports_small_storage_drift_mixed_sizes():
             net.store_object(node, obj, 0, original=node == obj)
     checker = InvariantChecker(net)
     node = int(np.argmax(net.capacity))
-    checker.after_event(0)
+    checker.after_event(0, full=True)
     assert checker.violations == []
     net.free[node] += 5e-4
-    checker.after_event(1)
+    checker.after_event(1, full=True)
     assert checker.violations == [f"t=1: storage accounting off at node {node}"]
 
 
@@ -224,11 +264,74 @@ def test_checker_reports_nan_popularity_and_q():
     sim = Simulation(SimConfig(node_count=40, queries_per_node=1, object_count=5, seed=4),
                      check_invariants=True)
     sim.net.pf[0, 0] = np.nan
-    sim.checker.after_event(1)
+    sim.checker.after_event(1, full=True)
     sim.net.q_tables[3][7] = np.nan
     sim.checker.after_round(3, 2)
     assert sim.checker.violations == ["t=1: negative or NaN popularity",
                                       "t=2: negative or NaN q for peer 7 at node 3"]
+
+
+_MARKING_CASES = {              # case -> (SimConfig fields, TopologyConfig fields)
+    "qrep-pressure": (dict(strategy="qrep", requester_copy=True),
+                      dict(storage_min=2.0, storage_max=4.0)),
+    "path": (dict(strategy="path"), {}),
+    "random-churn": (dict(strategy="random", churn_every_queries=400), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MARKING_CASES))
+def test_checker_marks_every_changed_node(case):
+    fields, topology = _MARKING_CASES[case]
+    cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                    metrics_window_queries=500, seed=21, **fields)
+    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3), TopologyConfig(**topology),
+                     check_invariants=True)
+    net, check = sim.net, sim.checker.after_event
+    before = snapshot(net)
+    changed_events = removal_events = 0
+
+    def after_event(now_ms, full=False):
+        nonlocal before, changed_events, removal_events
+        changed = changed_nodes(net, before)
+        assert changed <= net.touched, f"t={now_ms}: {sorted(changed - net.touched)} unmarked"
+        changed_events += bool(changed)
+        removal_events += bool((before[0] & ~net.holds).any())
+        check(now_ms, full)
+        before = snapshot(net)
+
+    sim.checker.after_event = after_event
+    sim.run()
+    assert sim.checker.violations == []
+    assert changed_events > 0
+    assert removal_events > 0 or case != "qrep-pressure"
+
+
+class HalfChargeNetwork(Network):
+    """Charges each replica half its size: a fault made through the store."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.faults = []                          # (now_ms, node) per short charge
+
+    def store_object(self, node, obj, now_ms, original=False):
+        super().store_object(node, obj, now_ms, original)
+        if not original:
+            self.free[node] += self.obj_size[obj] / 2
+            self.faults.append((now_ms, node))
+
+
+def test_checker_reports_store_fault_at_its_event():
+    net = ring_network(30, n_objects=4, capacity=6.0, network_class=HalfChargeNetwork)
+    place_initial_objects(net, 3)
+    cfg = SimConfig(node_count=30, queries_per_node=20, object_count=4, strategy="owner",
+                    churn_every_queries=0, metrics_window_queries=10_000, seed=3)
+    sim = Simulation(cfg, network=net, check_invariants=True)
+    checks = record_checks(sim.checker)
+    sim.run()
+    first = net.faults[0][0]
+    node = min(v for t, v in net.faults if t == first)
+    assert sim.checker.violations[0] == f"t={first}: storage accounting off at node {node}"
+    assert (first, False) in checks               # an incremental check, not the last one
 
 
 _STORAGE_OPS = st.lists(st.tuples(st.sampled_from(["store", "evict", "remove", "churn"]),
@@ -245,6 +348,7 @@ def test_storage_accounting_under_random_operations(sizes, ops):
     for obj in range(6):
         net.store_object(obj, obj, 0, original=True)
     checker = InvariantChecker(net)
+    before = snapshot(net)
     for t, (op, node, obj) in enumerate(ops, 1):
         if op == "store" and net.up[node] and not net.holds[obj, node]:
             try:
@@ -261,7 +365,9 @@ def test_storage_accounting_under_random_operations(sizes, ops):
             net.remove_object(node, obj)
         elif op == "churn":
             apply_churn(net, SimConfig(), np.random.default_rng(t))
+        assert changed_nodes(net, before) <= net.touched
         checker.after_event(t)
+        before = snapshot(net)
         for v in range(net.n_nodes):
             assert stored_size(net, v) + net.free[v] == net.capacity[v]
     assert checker.violations == []
@@ -276,8 +382,10 @@ def test_scan_skips_replicated_source_unless_rereplicating(rereplicate):
     net.replicated[0, 0] = True
     cfg = SimConfig(node_count=5, queries_per_node=1, object_count=1, seed=3)
     params = QRepParams(hello_ttl=1, hello_walkers=4, rereplicate_on_threshold=rereplicate)
-    sim = Simulation(cfg, params, network=net)
+    sim = Simulation(cfg, params, network=net, check_invariants=True)
     sim._scan_event(1_000)
+    sim.checker.after_event(1_000, full=True)
+    assert sim.checker.violations == []
     assert (net.holds[0].sum() > 1) == rereplicate
 
 
@@ -286,7 +394,7 @@ def test_requester_copy_flag():
                     initial_up_fraction=1.0, churn_every_queries=0,
                     requester_copy=True, metrics_window_queries=400, seed=5)
     params = QRepParams(delta=1e7)                # no scan ever fires
-    rows = Simulation(cfg, params).run()
+    rows = run_checked(cfg, params)
     assert rows[-1].total_replicas > 0            # requester copies only
 
 
@@ -294,8 +402,9 @@ def test_popularity_refresh_triggered_by_traffic():
     cfg = SimConfig(node_count=30, queries_per_node=60, object_count=2,
                     initial_up_fraction=1.0, churn_every_queries=0,
                     strategy="none", metrics_window_queries=600, seed=9)
-    sim = Simulation(cfg)
+    sim = Simulation(cfg, check_invariants=True)
     sim.run()
+    assert sim.checker.violations == []
     net = sim.net
     assert (net.n_q < QRepParams().update_every).all()
     held = np.nonzero(net.holds.any(axis=1))[0]
@@ -306,10 +415,9 @@ def test_count_down_origin_as_failure_flag():
     base = dict(node_count=60, queries_per_node=30, object_count=4,
                 churn_every_queries=300, metrics_window_queries=300, seed=13,
                 strategy="none")
-    issued_off = sum(r.queries_issued
-                     for r in Simulation(SimConfig(**base)).run())
+    issued_off = sum(r.queries_issued for r in run_checked(SimConfig(**base)))
     issued_on = sum(r.queries_issued
-                    for r in Simulation(SimConfig(**base, count_down_origin_as_failure=True)).run())
+                    for r in run_checked(SimConfig(**base, count_down_origin_as_failure=True)))
     assert issued_on >= issued_off
 
 

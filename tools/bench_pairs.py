@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Seed-paired benchmark runs of a parent commit against this checkout.
+
+Run from the repository root, for example:
+
+    python3 tools/bench_pairs.py --pr 8 --parent HEAD \\
+        trend-qrep-checked:10-19 default-qrep:10-12 default-path:10-12 --trace-seed 0
+
+The parent side is `git archive <parent>` unpacked into a temporary
+directory; the change side is this checkout's working tree as it stands.
+For every seed of every `WORKLOAD:SEEDS` spec the script runs
+`perfbench/run.py --workload W --seed N --seconds S --trace 0` once on each
+side, with S the `run_seconds` of `BENCHMARK.json`, alternating which side
+runs first from one pair to the next. With `--trace-seed N` it adds one
+`--trace 1` pair per workload. It writes
+`BENCH_<pr>.json`: every pair's printed result objects and metrics-CSV
+digests, per-side medians and quartiles of the end-to-end metrics, the
+change's wins on `queries_per_s`, and the traced per-layer values side by
+side. The file is rewritten after every pair, so a cut run keeps what ran.
+Nothing under `perfbench/` is edited.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST = re.compile(r"^\S+ seed (\d+) metrics CSV sha256 ([0-9a-f]{64})$")
+# end-to-end metrics whose value must not depend on the code's speed
+EXACT = ("probes_per_query", "hops_per_hit", "queries_found")
+
+
+def unpack(rev, into):
+    """Extract the tracked files of `rev` into the directory `into`."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                               stdout=subprocess.PIPE)
+    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        tar.extractall(into, filter="data")
+    if archive.wait() != 0:
+        sys.exit(f"error: git archive {rev} failed")
+
+
+def run_bench(tree, workload, seed, seconds, trace):
+    """One perfbench run in `tree`; returns (result object, {seed: digest})."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: perfbench failed in {tree}:\n{proc.stderr}")
+    digests = {}
+    for line in proc.stderr.splitlines():
+        match = DIGEST.match(line)
+        if match:
+            digests[match.group(1)] = match.group(2)
+    return json.loads(proc.stdout.splitlines()[-1]), digests
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs):
+    """Medians, quartiles and wins over the --trace 0 pairs of one group."""
+    def values(side, name):
+        return [p[side]["metrics"][name]["value"] for p in pairs]
+
+    out = {"pairs": len(pairs)}
+    parent, change = values("parent", "queries_per_s"), values("change", "queries_per_s")
+    out["queries_per_s"] = {
+        "parent": quartiles(parent), "change": quartiles(change),
+        "change_wins": sum(c > p for p, c in zip(parent, change)),
+        "ratios": [round(c / p, 4) for p, c in zip(parent, change)],
+    }
+    for name in ("setup_s", "peak_rss_mb") + EXACT:
+        out[name] = {side: quartiles(values(side, name)) for side in ("parent", "change")}
+        if name in EXACT:
+            out[name]["equal_per_seed"] = values("parent", name) == values("change", name)
+    out["csv_hashes_equal"] = all(p["parent_csv_sha256"] == p["change_csv_sha256"]
+                                  for p in pairs)
+    out["all_correct"] = all(p[side]["correct"] and p[side]["failed"] == 0
+                             for p in pairs for side in ("parent", "change"))
+    return out
+
+
+def environment():
+    import numpy
+    return (f"{os.cpu_count()} cores, {platform.machine()}, Python "
+            f"{platform.python_version()}, numpy {numpy.__version__}; one benchmark "
+            f"process at a time")
+
+
+def parse_spec(spec):
+    workload, _, seeds = spec.partition(":")
+    first, _, last = seeds.partition("-")
+    try:
+        first = int(first)
+        last = int(last) if last else first
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:FIRST[-LAST], got {spec!r}")
+    if not workload or last < first:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:FIRST[-LAST], got {spec!r}")
+    return workload, first, last
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("specs", nargs="+", type=parse_spec, metavar="WORKLOAD:SEEDS")
+    parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--trace-seed", type=int, help="add one --trace 1 pair per workload")
+    parser.add_argument("--workdir", help="where the parent tree goes (default: system temp)")
+    args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    report = {
+        "description": (
+            f"Seed-paired perfbench runs, parent commit ({args.parent}) against this "
+            f"change, order alternated per pair (\"first\" says which side ran first). "
+            f"Each side ran `python3 perfbench/run.py --workload W --seed N --seconds "
+            f"{seconds:g} --trace T` from its own tree. `parent`/`change` hold each "
+            f"run's printed result object; `*_csv_sha256` the metrics-CSV digest of every "
+            f"simulated seed. `summary` gives medians and quartiles of the --trace 0 runs; "
+            f"`traced` gives [parent, change] per-layer values of the --trace 1 runs."),
+        "environment": environment(),
+        "summary": {}, "traced": {}, "pairs": [],
+    }
+    jobs = [(w, seed, 0, f"{w} seeds {a}-{b}")
+            for w, a, b in args.specs for seed in range(a, b + 1)]
+    if args.trace_seed is not None:
+        for w in dict.fromkeys(w for w, _a, _b in args.specs):
+            jobs.append((w, args.trace_seed, 1, None))
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as tmp:
+        unpack(args.parent, tmp)
+        trees = {"parent": tmp, "change": str(ROOT)}
+        for i, (workload, seed, trace, group) in enumerate(jobs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            results = {}
+            for side in order:
+                print(f"[{i + 1}/{len(jobs)}] {side}: {workload} seed {seed} trace {trace}",
+                      file=sys.stderr, flush=True)
+                results[side] = run_bench(trees[side], workload, seed, seconds, trace)
+            pair = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
+            for side in ("parent", "change"):
+                pair[side], pair[side + "_csv_sha256"] = results[side]
+            report["pairs"].append(pair)
+            if trace:
+                report["traced"][workload] = {
+                    name: [pair["parent"]["metrics"][name]["value"],
+                           pair["change"]["metrics"][name]["value"]]
+                    for name in sorted(pair["parent"]["metrics"])}
+            else:
+                group_pairs = [p for p, job in zip(report["pairs"], jobs) if job[3] == group]
+                report["summary"][group] = summarize(group_pairs)
+            out_path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out_path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
