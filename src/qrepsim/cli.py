@@ -143,7 +143,9 @@ def compare_runs(run_dirs, report_path):
     """Summarize final-window success per (strategy, ttl) across run dirs.
 
     Directories must share every resolved config key except strategy, ttl
-    and seed. Returns the report text written to report_path.
+    and seed, and no (strategy, ttl, seed) may appear twice, as it would
+    when one directory is named twice. Returns the report text written to
+    report_path.
     """
     if len(run_dirs) < 2:
         raise CompareError("need at least two run directories to compare")
@@ -151,6 +153,7 @@ def compare_runs(run_dirs, report_path):
     baseline = None
     baseline_dir = None
     groups = {}
+    sources = {}
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
         cfg_path = run_dir / "config.resolved.ini"
@@ -174,6 +177,12 @@ def compare_runs(run_dirs, report_path):
         if not csvs:
             raise CompareError(f"no metrics CSVs in {run_dir}")
         for csv_path in csvs:
+            seed = csv_path.stem.removeprefix("metrics_seed")
+            key = (strategy, ttl, seed)
+            if key in sources:
+                raise CompareError(f"{csv_path} repeats strategy {strategy}, ttl {ttl}, "
+                                   f"seed {seed} of {sources[key]}")
+            sources[key] = csv_path
             final = _final_rows(csv_path)
             groups.setdefault((strategy, ttl), []).append(float(final[3]))
 

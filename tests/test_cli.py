@@ -282,6 +282,22 @@ def test_compare_rejects_mismatched_configs(tmp_path):
         compare_runs([d1, d2, other], tmp_path / "r.txt")
 
 
+def test_compare_rejects_repeated_runs(tmp_path):
+    # the same directory twice, or two directories that ran the same seeds,
+    # would count each of those runs twice
+    d1, d2 = _make_runs(tmp_path)
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", str(tmp_path / "run.ini"), "--out", str(again),
+                 "--strategy", "path", "--seed", "6"]) == 0
+    report = tmp_path / "r.csv"
+    with pytest.raises(CompareError, match="strategy qrep, ttl 6, seed 5"):
+        compare_runs([d1, d1, d2], report)
+    with pytest.raises(CompareError, match="strategy path, ttl 6, seed 6"):
+        compare_runs([d1, d2, again], report)
+    assert main(["compare", "--runs", str(d1), str(d1), str(d2), "--out", str(report)]) == 2
+    assert not report.exists()
+
+
 def test_compare_cli_exit_codes(tmp_path):
     d1, d2 = _make_runs(tmp_path)
     ok = main(["compare", "--runs", str(d1), str(d2),

@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import numpy as np
 
-from qrepsim.model import generate_topology, Network
-from qrepsim.search import hello_sweep, run_query, walk
+from qrepsim.model import generate_topology, Network, Overlay
+from qrepsim.search import WalkContext, hello_sweep, run_query, walk
 
 from helpers import build_network, line_network, make_ctx, star_network
 
@@ -197,3 +200,31 @@ def test_no_repeated_directed_edge_per_message():
         paths = walker_paths(net, make_ctx(net, seed=trial), 0, k=6, ttl=6)
         moves = [(a, b) for p in paths for a, b in zip(p, p[1:])]
         assert len({frozenset(m) for m in moves}) == len(moves)
+
+
+def test_walk_outputs_pinned():
+    # every walk's (paths, winner, visited, stream state), hashed in order:
+    # two sparse ER overlays, where walkers meet used edges mostly at launch,
+    # and the complete graph K6, where almost every later step meets them.
+    # One context per overlay follows ten `up` flips; origins may be down,
+    # k runs past the origin's up-degree, ttl 0-7, holds row or none.
+    overlays = [generate_topology(n, 4.0, seed=seed) for n, seed in ((60, 3), (200, 4))]
+    overlays.append(Overlay.from_adjacency({u: [v for v in range(6) if v != u]
+                                            for u in range(6)}))
+    draw = random.Random(9)
+    digest = hashlib.sha256()
+    for overlay in overlays:
+        n = overlay.node_count
+        net = Network(overlay, np.ones(n), np.ones(n), np.ones(n, dtype=bool), np.ones(1))
+        ctx = WalkContext(overlay, seed=n)
+        holds = np.array([draw.random() < 0.05 for _ in range(n)])
+        holds[-1] = True
+        for _flip in range(10):
+            net.up[:] = [draw.random() < 0.85 for _ in range(n)]
+            for _ in range(100):
+                origin = int(draw.random() * n)
+                k, ttl = 1 + int(draw.random() * 9), int(draw.random() * 8)
+                row = holds if draw.random() < 0.5 else None
+                paths, winner, visited = walk(net, ctx, origin, k, ttl, row)
+                digest.update(repr((paths, winner, visited, ctx.state)).encode())
+    assert digest.hexdigest() == "60c97ecbfe349c7c9bc438569eb7a0b61a6e308823c48a3c6750c84bf3d1c141"

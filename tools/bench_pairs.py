@@ -15,13 +15,18 @@ runs first from one pair to the next. With `--trace-seed N` it adds one
 `--trace 1` pair per workload. It writes
 `BENCH_<pr>.json`: every pair's printed result objects and metrics-CSV
 digests, per-side medians and quartiles of the end-to-end metrics, the
-change's wins on `queries_per_s`, and the traced per-layer values side by
+change's wins on `queries_per_s`, the change/parent median ratios of
+`setup_s` and `peak_rss_mb`, and the traced per-layer values side by
 side. The file is rewritten after every pair, so a cut run keeps what ran.
+Every end-to-end metric whose change median moved from the parent's the
+way its `better` calls worse by more than its `bound` is listed under the
+group's `flags` and printed as one `FLAG` line on stderr at the end.
 Nothing under `perfbench/` is edited.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -71,22 +76,39 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs):
-    """Medians, quartiles and wins over the --trace 0 pairs of one group."""
+def worse_by(parent, change, better):
+    """How far `change` moved from `parent` the wrong way, relative to
+    `parent`; zero or negative when it did not."""
+    delta = change - parent if better == "lower" else parent - change
+    if parent:
+        return delta / abs(parent)
+    return math.inf if delta > 0 else 0.0
+
+
+def summarize(pairs, end_to_end):
+    """Medians, quartiles, wins and flags over the --trace 0 pairs of one
+    group; `end_to_end` is the metric list of BENCHMARK.json."""
     def values(side, name):
         return [p[side]["metrics"][name]["value"] for p in pairs]
 
-    out = {"pairs": len(pairs)}
-    parent, change = values("parent", "queries_per_s"), values("change", "queries_per_s")
-    out["queries_per_s"] = {
-        "parent": quartiles(parent), "change": quartiles(change),
-        "change_wins": sum(c > p for p, c in zip(parent, change)),
-        "ratios": [round(c / p, 4) for p, c in zip(parent, change)],
-    }
-    for name in ("setup_s", "peak_rss_mb") + EXACT:
-        out[name] = {side: quartiles(values(side, name)) for side in ("parent", "change")}
+    out = {"pairs": len(pairs), "flags": []}
+    for metric in end_to_end:
+        name = metric["name"]
+        parent, change = values("parent", name), values("change", name)
+        out[name] = {"parent": quartiles(parent), "change": quartiles(change)}
+        p_med, c_med = out[name]["parent"]["median"], out[name]["change"]["median"]
+        if name == "queries_per_s":
+            out[name]["change_wins"] = sum(c > p for p, c in zip(parent, change))
+            out[name]["ratios"] = [round(c / p, 4) for p, c in zip(parent, change)]
+        if name in ("setup_s", "peak_rss_mb") and p_med:
+            out[name]["median_ratio"] = round(c_med / p_med, 4)
         if name in EXACT:
-            out[name]["equal_per_seed"] = values("parent", name) == values("change", name)
+            out[name]["equal_per_seed"] = parent == change
+        worse = worse_by(p_med, c_med, metric["better"])
+        if worse > metric["bound"]:
+            out["flags"].append(
+                f"{name} median {p_med:.6g} -> {c_med:.6g}: {worse:.1%} worse, "
+                f"bound {metric['bound']:.0%}")
     out["csv_hashes_equal"] = all(p["parent_csv_sha256"] == p["change_csv_sha256"]
                                   for p in pairs)
     out["all_correct"] = all(p[side]["correct"] and p[side]["failed"] == 0
@@ -122,7 +144,8 @@ def main(argv=None):
     parser.add_argument("--trace-seed", type=int, help="add one --trace 1 pair per workload")
     parser.add_argument("--workdir", help="where the parent tree goes (default: system temp)")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
 
     out_path = ROOT / f"BENCH_{args.pr}.json"
     report = {
@@ -132,7 +155,9 @@ def main(argv=None):
             f"Each side ran `python3 perfbench/run.py --workload W --seed N --seconds "
             f"{seconds:g} --trace T` from its own tree. `parent`/`change` hold each "
             f"run's printed result object; `*_csv_sha256` the metrics-CSV digest of every "
-            f"simulated seed. `summary` gives medians and quartiles of the --trace 0 runs; "
+            f"simulated seed. `summary` gives medians and quartiles of the --trace 0 runs "
+            f"and `flags` every end-to-end metric whose median moved the wrong way by more "
+            f"than its BENCHMARK.json bound; "
             f"`traced` gives [parent, change] per-layer values of the --trace 1 runs."),
         "environment": environment(),
         "summary": {}, "traced": {}, "pairs": [],
@@ -164,8 +189,11 @@ def main(argv=None):
                     for name in sorted(pair["parent"]["metrics"])}
             else:
                 group_pairs = [p for p, job in zip(report["pairs"], jobs) if job[3] == group]
-                report["summary"][group] = summarize(group_pairs)
+                report["summary"][group] = summarize(group_pairs, benchmark["end_to_end"])
             out_path.write_text(json.dumps(report, indent=1) + "\n")
+    for group, summary in report["summary"].items():
+        for flag in summary["flags"]:
+            print(f"FLAG {group}: {flag}", file=sys.stderr)
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 
