@@ -123,6 +123,10 @@ def emit_csv(rows, path):
     return path
 
 
+# a qrep run with fewer scans than this barely replicates, so its metrics
+# say little about learned placement
+MIN_SCANS = 5
+
 _GNUPLOT = """set datafile separator ","
 set key autotitle columnhead
 set xlabel "window"
@@ -256,6 +260,10 @@ def _cmd_simulate(args):
         final = rows[-1]
         print(f"{csv_path}: windows={len(rows)} final_success={final.success_rate:.6f} "
               f"replicas={final.total_replicas}")
+        if sim_cfg.strategy == "qrep" and simulation.scans_run < MIN_SCANS:
+            print(f"warning: {csv_path}: only {simulation.scans_run} replication scans "
+                  f"ran (fewer than {MIN_SCANS}); lower [qrep] delta or raise "
+                  f"queries_per_node for learned placement to show", file=sys.stderr)
         if args.gnuplot:
             scale = max(1, sim_cfg.node_count)
             (out_dir / f"plot_seed{seed}.gp").write_text(

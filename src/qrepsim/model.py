@@ -1,8 +1,11 @@
 """Overlay topology, node attributes, and the array-backed network state.
 
-The simulator keeps all per-node and per-object state in flat numpy arrays
+The simulator keeps its per-node and per-object state in flat numpy arrays
 (object-major matrices of shape (n_objects, n_nodes)) so the walk and the
-per-visit counters work on contiguous rows.
+per-visit counters work on contiguous rows. The one exception is the
+per-node request counter `n_q`, a list of Python ints: it is bumped once
+per visited node of every query, and a list item costs less to bump than a
+numpy scalar.
 """
 
 import numpy as np
@@ -152,8 +155,10 @@ class Network:
     """Full mutable simulation state: one overlay plus all per-node tables.
 
     Store membership, originals, popularity, per-object request counters and
-    insertion times are (n_objects, n_nodes) matrices; Q-tables are small
-    per-node dicts touched only during replication rounds.
+    insertion times are (n_objects, n_nodes) matrices; the per-node request
+    counter `n_q` is a list of Python ints, one per node, and the only copy
+    of those counts. Q-tables are small per-node dicts touched only during
+    replication rounds.
 
     `touched` is None unless an invariant checker watches the network; it is
     then the set of nodes whose `holds`, `free` or `pf` column changed since
@@ -184,7 +189,7 @@ class Network:
         self.rq = np.zeros((m, n), dtype=np.int64)
         self.replicated = np.zeros((m, n), dtype=np.bool_)
 
-        self.n_q = np.zeros(n, dtype=np.int64)
+        self.n_q = [0] * n
         self.q_tables = [dict() for _ in range(n)]
         self.touched = None
 

@@ -75,10 +75,11 @@ class ReinforcementSignal:
 
 def record_visits(net, visited, obj):
     """Bump per-node request counters for one query's visited set."""
-    held = net.holds[obj]
+    held = net.holds[obj].tobytes()
+    n_q = net.n_q
     rq_row = net.rq[obj]
     for v in visited:
-        net.n_q[v] += 1
+        n_q[v] += 1
         if held[v]:
             rq_row[v] += 1
 
@@ -86,7 +87,9 @@ def record_visits(net, visited, obj):
 def refresh_due(net, visited, params):
     """Refresh the popularities of visited nodes whose request window is
     full, in visit order; returns how many were due."""
-    due = [v for v in visited if net.n_q[v] >= params.update_every]
+    every = params.update_every
+    n_q = net.n_q
+    due = [v for v in visited if n_q[v] >= every]
     for v in due:
         update_popularities(net, v, params)
     return len(due)
@@ -98,7 +101,7 @@ def update_popularities(net, node, params):
     popularity += eta * (object requests / node requests) * 100, then the
     window counters reset. With no requests in the window nothing changes.
     """
-    nq = int(net.n_q[node])
+    nq = net.n_q[node]
     if nq == 0:
         return
     stored = net.stored_objects(node)

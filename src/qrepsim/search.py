@@ -22,8 +22,7 @@ in `WalkContext.state` and stepped inline by the walk, so a walk depends on
 nothing but the stream state and the network.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +30,9 @@ MINSTD_M = 2147483647  # 2**31 - 1
 MINSTD_A = 48271
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
+    """What one query found. A NamedTuple: immutable like a frozen
+    dataclass, and built once per query at a fraction of its cost."""
     success: bool
     provider: Optional[int]
     path: tuple                    # origin ... provider for the winning walker

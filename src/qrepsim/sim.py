@@ -315,6 +315,7 @@ class Simulation:
         self.ctx = WalkContext(self.net.overlay, int(s_walk.generate_state(1)[0]))
 
         self.checker = InvariantChecker(self.net) if check_invariants else None
+        self.scans_run = 0
 
     # -- event handlers ------------------------------------------------------
 
@@ -363,6 +364,8 @@ class Simulation:
     # -- driver ---------------------------------------------------------------
 
     def run(self):
+        """Run the whole schedule; returns the metrics rows. `scans_run`
+        then holds the number of replication scans that ran."""
         cfg = self.config
         times, origins, targets = schedule_workload(cfg, self.net, self.rng_work)
 
@@ -381,14 +384,14 @@ class Simulation:
 
         last = len(times) - 1
         for i in range(len(times)):
-            now = int(times[i])
+            now = times.item(i)
             while next_scan < len(scan_times) and scan_times[next_scan] <= now:
                 self._scan_event(scan_times[next_scan])
                 if self.checker:
                     self.checker.after_event(scan_times[next_scan])
                 next_scan += 1
-            issued, success, hops = self._query_event(now, int(origins[i]),
-                                                      int(targets[i]))
+            issued, success, hops = self._query_event(now, origins.item(i),
+                                                      targets.item(i))
             if issued:
                 issued_total += 1
                 win_issued += 1
@@ -412,4 +415,5 @@ class Simulation:
         if win_issued or not rows:
             rows.append(collect_metrics(self.net, len(rows), win_issued,
                                         win_succeeded, win_hops))
+        self.scans_run = next_scan
         return rows

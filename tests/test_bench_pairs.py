@@ -11,14 +11,18 @@ from bench_pairs import summarize  # noqa: E402
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _pair(parent, change):
+DIGEST = {"0": "0" * 64}
+
+
+def _pair(parent, change, parent_digests=DIGEST, change_digests=DIGEST):
     """One --trace 0 pair; `parent`/`change` map metric names to values,
-    any metric not named reads 1.0 on that side."""
+    any metric not named reads 1.0 on that side. Both sides carry the same
+    metrics-CSV digest unless told otherwise."""
     def side(values):
         metrics = {m["name"]: {"value": values.get(m["name"], 1.0)} for m in END_TO_END}
         return {"metrics": metrics, "correct": True, "failed": 0}
     return {"parent": side(parent), "change": side(change),
-            "parent_csv_sha256": {}, "change_csv_sha256": {}}
+            "parent_csv_sha256": parent_digests, "change_csv_sha256": change_digests}
 
 
 def test_summary_flags_each_metric_past_its_bound_the_wrong_way():
@@ -44,3 +48,16 @@ def test_summary_does_not_flag_gains_or_moves_inside_the_bound():
     assert summary["queries_per_s"]["change_wins"] == 1
     assert summary["probes_per_query"]["equal_per_seed"] is False
     assert summary["all_correct"] and summary["csv_hashes_equal"]
+
+
+def test_csv_hashes_equal_needs_the_same_digests_on_both_sides():
+    assert summarize([_pair({}, {}), _pair({}, {})], END_TO_END)["csv_hashes_equal"]
+    unequal = [
+        ({}, {}),                                     # no digest line was parsed
+        (DIGEST, {}),
+        (DIGEST, {"1": DIGEST["0"]}),                 # other seeds
+        (DIGEST, {"0": "1" * 64}),
+    ]
+    for parent_digests, change_digests in unequal:
+        pairs = [_pair({}, {}), _pair({}, {}, parent_digests, change_digests)]
+        assert not summarize(pairs, END_TO_END)["csv_hashes_equal"]

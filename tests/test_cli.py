@@ -153,6 +153,26 @@ def test_simulate_gnuplot_companion(tmp_path):
     assert (out / "plot_seed5.gp").read_text().startswith("set datafile")
 
 
+@pytest.mark.parametrize("delta, strategy, warned", [
+    ("100", "qrep", True),               # the schedule covers 4 scan periods
+    ("10", "qrep", False),               # 47
+    ("100", "path", False),              # no scans to count
+])
+def test_simulate_warns_when_a_qrep_run_covers_few_scans(tmp_path, capsys, delta,
+                                                         strategy, warned):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY.replace("delta = 100", f"delta = {delta}"))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--strategy", strategy])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert len(out.splitlines()) == 1 and out.startswith(str(tmp_path / "o"))
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == int(warned) and err.count("\n") == int(warned)
+    if warned:
+        assert "replication scans ran (fewer than 5)" in warnings[0]
+
+
 def test_simulate_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[sim]\nstrategy = flood\n")

@@ -58,10 +58,10 @@ def test_batched_visit_counting_matches_scalar():
     for v in visited:
         record_visits(net_b, [v], 0)
     for net in (net_a, net_b):
-        assert net.n_q.tolist() == [1, 0, 1, 0, 1, 1]
+        assert net.n_q == [1, 0, 1, 0, 1, 1]
         assert net.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
     record_visits(net_a, [4, 0], 1)
-    assert net_a.n_q.tolist() == [2, 0, 1, 0, 2, 1]
+    assert net_a.n_q == [2, 0, 1, 0, 2, 1]
     assert net_a.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
 
 
@@ -102,7 +102,53 @@ def test_refresh_due_updates_only_full_windows():
     net.rq[0], net.n_q[:] = [5, 5, 5], [50, 49, 50]
     assert refresh_due(net, [2, 1], P) == 1        # node 0 was not visited
     assert net.pf[0].tolist() == [0.0, 0.0, 5.0]
-    assert net.n_q.tolist() == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
+    assert net.n_q == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
+
+
+def test_visit_counters_match_a_numpy_recount():
+    """After every record_visits + refresh_due pair, the counters, the
+    popularities and the due count equal a plain numpy recount. Stores
+    change between queries, and holders sit anywhere in a visited set."""
+    rng = np.random.default_rng(12)
+    n, m = 16, 5
+    net = build_network({v: [(v + 1) % n] for v in range(n)}, n_objects=m,
+                        capacity=float(m))
+    for obj, node in zip(*np.nonzero(rng.random((m, n)) < 0.3)):
+        net.store_object(int(node), int(obj), 0)
+    params = QRepParams(update_every=3)
+    n_q = np.zeros(n, dtype=np.int64)
+    rq = np.zeros((m, n), dtype=np.int64)
+    pf = np.zeros((m, n))
+    refreshed = 0
+    for _ in range(400):
+        obj, node = int(rng.integers(m)), int(rng.integers(n))
+        if rng.random() < 0.2:                    # a store or an eviction resets the cell
+            if net.holds[obj, node]:
+                net.remove_object(node, obj)
+            else:
+                net.store_object(node, obj, 0)
+            rq[obj, node] = 0
+            pf[obj, node] = 0.0
+        visited = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+        record_visits(net, visited, obj)
+        due = refresh_due(net, visited, params)
+
+        n_q[visited] += 1
+        rq[obj, visited] += net.holds[obj, visited]
+        expected_due = 0
+        for v in visited:
+            if n_q[v] >= params.update_every:
+                held = net.holds[:, v]
+                pf[held, v] += params.eta * (rq[held, v] / n_q[v]) * 100.0
+                rq[:, v] = 0
+                n_q[v] = 0
+                expected_due += 1
+        assert due == expected_due
+        assert net.n_q == n_q.tolist()
+        assert np.array_equal(net.rq, rq)
+        assert net.pf.tobytes() == pf.tobytes()
+        refreshed += due
+    assert refreshed > 100 and pf.max() > 0
 
 
 def test_popularity_window_counters_reset():

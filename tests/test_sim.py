@@ -406,7 +406,7 @@ def test_popularity_refresh_triggered_by_traffic():
     sim.run()
     assert sim.checker.violations == []
     net = sim.net
-    assert (net.n_q < QRepParams().update_every).all()
+    assert all(count < QRepParams().update_every for count in net.n_q)
     held = np.nonzero(net.holds.any(axis=1))[0]
     assert net.pf[held].max() > 0
 

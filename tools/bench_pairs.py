@@ -87,7 +87,9 @@ def worse_by(parent, change, better):
 
 def summarize(pairs, end_to_end):
     """Medians, quartiles, wins and flags over the --trace 0 pairs of one
-    group; `end_to_end` is the metric list of BENCHMARK.json."""
+    group; `end_to_end` is the metric list of BENCHMARK.json.
+    `csv_hashes_equal` holds when every pair carries metrics-CSV digests
+    and both sides digested the same seeds to the same values."""
     def values(side, name):
         return [p[side]["metrics"][name]["value"] for p in pairs]
 
@@ -109,7 +111,8 @@ def summarize(pairs, end_to_end):
             out["flags"].append(
                 f"{name} median {p_med:.6g} -> {c_med:.6g}: {worse:.1%} worse, "
                 f"bound {metric['bound']:.0%}")
-    out["csv_hashes_equal"] = all(p["parent_csv_sha256"] == p["change_csv_sha256"]
+    out["csv_hashes_equal"] = all(p["parent_csv_sha256"]
+                                  and p["parent_csv_sha256"] == p["change_csv_sha256"]
                                   for p in pairs)
     out["all_correct"] = all(p[side]["correct"] and p[side]["failed"] == 0
                              for p in pairs for side in ("parent", "change"))
