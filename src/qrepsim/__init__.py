@@ -2,8 +2,8 @@
 overlays: learning-driven site selection plus owner/path/random baselines.
 """
 
-from .errors import (CompareError, ConfigurationError, EvictionError,
-                     PlacementError, QRepSimError)
+from .errors import (CompareError, ConfigurationError, PlacementError,
+                     QRepSimError)
 from .model import (Network, Overlay, generate_topology, place_initial_objects,
                     sample_node_attributes)
 from .qrep import QRepParams, ReinforcementSignal
@@ -13,7 +13,7 @@ from .sim import MetricsRow, SimConfig, Simulation, TopologyConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompareError", "ConfigurationError", "EvictionError", "MetricsRow",
+    "CompareError", "ConfigurationError", "MetricsRow",
     "Network", "Overlay", "PlacementError", "QRepParams", "QRepSimError",
     "QueryOutcome", "ReinforcementSignal", "SimConfig", "Simulation",
     "TopologyConfig", "WalkContext",

@@ -1,10 +1,10 @@
 """Reference replication strategies: none, owner, path, random.
 
 All of them react to a successful query and share the engine's eviction
-policy, so comparative runs isolate the placement rule itself.
+policy, so comparative runs isolate the placement rule itself. A failed
+query's outcome has an empty path, so each of them places nothing for it.
 """
 
-from .errors import EvictionError
 from .qrep import evict_for_space
 
 STRATEGIES = ("none", "owner", "path", "random", "qrep")
@@ -19,9 +19,8 @@ def place_replica(net, node, obj, now_ms):
         return False
     size = net.obj_size[obj]
     if net.free[node] < size:
-        try:
-            evict_for_space(net, node, size)
-        except EvictionError:
+        evict_for_space(net, node, size)
+        if net.free[node] < size:
             return False
     net.store_object(node, obj, now_ms)
     return True
@@ -29,7 +28,7 @@ def place_replica(net, node, obj, now_ms):
 
 def owner_replicate(net, outcome, obj, now_ms):
     """Copy the found object to the requesting node only."""
-    if not outcome.success or not outcome.path:
+    if not outcome.path:
         return []
     origin = outcome.path[0]
     return [origin] if place_replica(net, origin, obj, now_ms) else []
@@ -40,7 +39,7 @@ def path_replicate(net, outcome, obj, now_ms):
 
     Works provider-side first; nodes already holding the object (including a
     repeat visit in the path) and nodes that cannot make space are skipped."""
-    if not outcome.success or len(outcome.path) < 2:
+    if len(outcome.path) < 2:
         return []
     placed = []
     for node in reversed(outcome.path[:-1]):
@@ -55,8 +54,6 @@ def random_replicate(net, outcome, obj, visited, rng, now_ms):
 
     Holders and nodes that cannot make space are skipped; when the pool runs
     short, fewer replicas are placed."""
-    if not outcome.success:
-        return []
     requested = len(outcome.path) - 1
     if requested <= 0:
         return []

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Exceptions mark faults: bad input or a broken store invariant. Ordinary
+outcomes, such as a node that cannot make room for a replica, are return
+values."""
 
 
 class QRepSimError(Exception):
@@ -11,10 +15,6 @@ class ConfigurationError(QRepSimError):
 
 class PlacementError(QRepSimError):
     """An object could not be placed on any node (CLI exit code 2)."""
-
-
-class EvictionError(QRepSimError):
-    """Not enough evictable space to satisfy a placement."""
 
 
 class CompareError(QRepSimError):

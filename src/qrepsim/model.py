@@ -160,11 +160,11 @@ class Network:
     of those counts. Q-tables are small per-node dicts touched only during
     replication rounds.
 
-    `touched` is None unless an invariant checker watches the network; it is
-    then the set of nodes whose `holds`, `free` or `pf` column changed since
-    the checker last looked. `store_object`, `remove_object` and
-    `qrep.update_popularities` are the only writers of that state, and each
-    adds its node.
+    `touched` is the set of nodes whose `holds`, `free` or `pf` column
+    changed since an invariant checker last looked (since construction when
+    none watches, so it never holds more than `n_nodes` ids).
+    `store_object`, `remove_object` and `qrep.update_popularities` are the
+    only writers of that state, and each adds its node.
     """
 
     def __init__(self, overlay, bandwidth, capacity, up, obj_size):
@@ -191,7 +191,7 @@ class Network:
 
         self.n_q = [0] * n
         self.q_tables = [dict() for _ in range(n)]
-        self.touched = None
+        self.touched = set()
 
     # -- store bookkeeping -------------------------------------------------
 
@@ -210,8 +210,7 @@ class Network:
         self.rq[obj, node] = 0
         self.replicated[obj, node] = False
         self.free[node] -= size
-        if self.touched is not None:
-            self.touched.add(node)
+        self.touched.add(node)
 
     def remove_object(self, node, obj):
         if not self.holds[obj, node]:
@@ -223,8 +222,7 @@ class Network:
         self.rq[obj, node] = 0
         self.replicated[obj, node] = False
         self.free[node] += self.obj_size[obj]
-        if self.touched is not None:
-            self.touched.add(node)
+        self.touched.add(node)
 
     def stored_objects(self, node):
         return np.nonzero(self.holds[:, node])[0]

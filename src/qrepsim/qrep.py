@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvictionError
+from .errors import ConfigurationError
 from .search import hello_sweep
 
 
@@ -107,8 +107,7 @@ def update_popularities(net, node, params):
     stored = net.stored_objects(node)
     if len(stored):
         net.pf[stored, node] += params.eta * (net.rq[stored, node] / nq) * 100.0
-        if net.touched is not None:
-            net.touched.add(node)
+        net.touched.add(node)
     net.rq[:, node] = 0
     net.n_q[node] = 0
 
@@ -176,19 +175,15 @@ def evict_for_space(net, node, needed):
     """Free at least `needed` units by dropping replicas, never originals.
 
     Victims go in ascending popularity, ties oldest insertion first, then
-    lowest object id. Raises
-    EvictionError (leaving the store untouched) when even evicting every
-    replica would not make room."""
-    if needed > net.capacity[node]:
-        raise EvictionError(
-            f"object needs {needed} units but node {node} capacity is {net.capacity[node]}")
-    if net.free[node] >= needed:
+    lowest object id. Returns the dropped object ids. When `needed` exceeds
+    the node's capacity, or evicting every replica would not make room, it
+    drops nothing and returns []; the caller sees `free < needed` still."""
+    if needed > net.capacity[node] or net.free[node] >= needed:
         return []
     col = net.holds[:, node] & ~net.original[:, node]
     evictable = np.nonzero(col)[0]
     if net.free[node] + net.obj_size[evictable].sum() < needed:
-        raise EvictionError(
-            f"node {node} cannot free {needed} units even after full eviction")
+        return []
     order = evictable[np.lexsort((evictable, net.inserted_at[evictable, node],
                                   net.pf[evictable, node]))]
     removed = []
@@ -214,9 +209,8 @@ def replicate_object(net, source, object_key, targets, now_ms):
         if not net.up[target]:
             continue
         if net.free[target] < size:
-            try:
-                evict_for_space(net, target, size)
-            except EvictionError:
+            evict_for_space(net, target, size)
+            if net.free[target] < size:
                 continue
         net.store_object(target, object_key, now_ms)
         signals.append(ReinforcementSignal(

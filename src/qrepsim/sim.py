@@ -1,11 +1,12 @@
 """Deterministic discrete-event driver: workload, churn, metrics windows.
 
-A run is fully determined by (config, seed): the event schedule is built up
-front (query events plus periodic replication-scan events), timestamps are
-integer milliseconds, ties break by schedule sequence number, and every
-random stream is derived from the run seed (numpy PCG64 for setup, workload,
-churn and random placement; the MINSTD stream of :mod:`qrepsim.search` for
-the walks).
+A run is fully determined by (config, seed): the query schedule is built up
+front, a qrep run's replication scans fire at every multiple of `delta` up
+to the last query time (each before the queries at its time), timestamps
+are integer milliseconds, ties break by schedule sequence number, and
+every random stream is derived from the run seed (numpy PCG64 for setup,
+workload, churn and random placement; the MINSTD stream of
+:mod:`qrepsim.search` for the walks).
 
 With `check_invariants` an :class:`InvariantChecker` watches the run. After
 every event it checks the nodes whose stores or popularities that event
@@ -216,27 +217,26 @@ def apply_churn(net, config, rng):
 
 
 class InvariantChecker:
-    """Optional per-event verifier; records violations instead of raising.
+    """Optional per-event verifier; records violations instead of raising,
+    at most `MAX_REPORTS` of them.
 
-    The checker sets `net.touched` to an empty set, so the network's store
-    writers mark every node whose `holds`, `free` or `pf` column they change.
-    `after_event` checks only those nodes, unless `full` asks for every
-    node. A write that bypasses the store is invisible to the marking and
-    surfaces only at the next full check."""
+    The network's store writers mark every node whose `holds`, `free` or
+    `pf` column they change in `net.touched`; the checker empties that set
+    when it starts and at every check. `after_event` checks only the marked
+    nodes, unless `full` asks for every node. A write that bypasses the
+    store is invisible to the marking and surfaces only at the next full
+    check."""
 
-    def __init__(self, net, max_reports=20):
+    MAX_REPORTS = 20
+
+    def __init__(self, net):
         self.net = net
         self.violations = []
-        self.max_reports = max_reports
         self.events_checked = 0
-        net.touched = set()
-        # object sizes never change: with one size, stored size is that size
-        # times the copy count, and holds need no cast to float
-        sizes = np.unique(net.obj_size)
-        self.unit_size = float(sizes[0]) if len(sizes) == 1 else None
+        net.touched.clear()
 
     def _report(self, message):
-        if len(self.violations) < self.max_reports:
+        if len(self.violations) < self.MAX_REPORTS:
             self.violations.append(message)
 
     def after_event(self, now_ms, full=False):
@@ -249,14 +249,12 @@ class InvariantChecker:
         self.events_checked += 1
         nodes = range(net.n_nodes) if full else sorted(net.touched)
         net.touched.clear()
-        unit = self.unit_size
         drifted = None
         bad_pf = bad_free = False
         # every bound is checked as `not x >= bound`, so a NaN reports too
         for v in nodes:
             free = net.free.item(v)
-            held = net.holds[:, v]
-            stored = unit * np.count_nonzero(held) if unit is not None else net.obj_size @ held
+            stored = net.obj_size @ net.holds[:, v]
             if drifted is None and not abs(stored + free - net.capacity.item(v)) <= 1e-9:
                 drifted = v
             bad_pf = bad_pf or not net.pf[:, v].min() >= 0
@@ -307,6 +305,11 @@ class Simulation:
             obj_size = np.full(config.object_count, topology.object_size)
             network = Network(overlay, bandwidth, capacity, up, obj_size)
             place_initial_objects(network, s_place)
+        elif (network.n_nodes, network.n_objects) != (config.node_count,
+                                                      config.object_count):
+            raise ConfigurationError(
+                f"network has {network.n_nodes} nodes and {network.n_objects} objects, "
+                f"config asks for {config.node_count} and {config.object_count}")
         self.net = network
 
         self.rng_work = np.random.default_rng(s_work)
@@ -365,14 +368,15 @@ class Simulation:
 
     def run(self):
         """Run the whole schedule; returns the metrics rows. `scans_run`
-        then holds the number of replication scans that ran."""
+        then holds the number of replication scans that ran: one at every
+        multiple of `delta` up to the last query time, for qrep only."""
         cfg = self.config
         times, origins, targets = schedule_workload(cfg, self.net, self.rng_work)
 
-        scan_times = []
+        next_scan = math.inf
         if cfg.strategy == "qrep" and len(times):
             delta_ms = int(round(self.params.delta * 1000))
-            scan_times = list(range(delta_ms, int(times[-1]) + 1, delta_ms))
+            next_scan = delta_ms
             for v in np.nonzero(self.net.up)[0]:
                 qrep.build_q_table(self.net, self.ctx, int(v), self.params)
 
@@ -380,16 +384,17 @@ class Simulation:
         issued_total = 0
         win_issued = win_succeeded = 0
         win_hops = 0
-        next_scan = 0
+        self.scans_run = 0
 
         last = len(times) - 1
         for i in range(len(times)):
             now = times.item(i)
-            while next_scan < len(scan_times) and scan_times[next_scan] <= now:
-                self._scan_event(scan_times[next_scan])
+            while next_scan <= now:
+                self._scan_event(next_scan)
                 if self.checker:
-                    self.checker.after_event(scan_times[next_scan])
-                next_scan += 1
+                    self.checker.after_event(next_scan)
+                self.scans_run += 1
+                next_scan += delta_ms
             issued, success, hops = self._query_event(now, origins.item(i),
                                                       targets.item(i))
             if issued:
@@ -415,5 +420,4 @@ class Simulation:
         if win_issued or not rows:
             rows.append(collect_metrics(self.net, len(rows), win_issued,
                                         win_succeeded, win_hops))
-        self.scans_run = next_scan
         return rows

@@ -61,3 +61,38 @@ def test_csv_hashes_equal_needs_the_same_digests_on_both_sides():
     for parent_digests, change_digests in unequal:
         pairs = [_pair({}, {}), _pair({}, {}, parent_digests, change_digests)]
         assert not summarize(pairs, END_TO_END)["csv_hashes_equal"]
+
+
+def test_wide_parent_spread_is_unresolved_unless_the_sides_separate():
+    parent_qps = [100.0, 200.0, 100.0, 200.0]     # spread 100 over a median of 150
+    overlapping = [_pair({"queries_per_s": p}, {"queries_per_s": p + 10.0})
+                   for p in parent_qps]
+    summary = summarize(overlapping, END_TO_END)
+    assert [entry.split()[0] for entry in summary["unresolved"]] == ["queries_per_s"]
+    assert summary["flags"] == []
+    separated = [_pair({"queries_per_s": p, "setup_s": 2.0 * p / 100},
+                       {"queries_per_s": 250.0, "setup_s": 0.5}) for p in parent_qps]
+    assert summarize(separated, END_TO_END)["unresolved"] == []
+    worse = [_pair({"setup_s": 2.0 * p / 100}, {"setup_s": 5.0}) for p in parent_qps]
+    summary = summarize(worse, END_TO_END)
+    assert [entry.split()[0] for entry in summary["unresolved"]] == ["setup_s"]
+    assert [flag.split()[0] for flag in summary["flags"]] == ["setup_s"]
+
+
+def _qps_pairs(parent, change):
+    return [_pair({"queries_per_s": p}, {"queries_per_s": c}) for p, c in zip(parent, change)]
+
+
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_parent_spread():
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+    cases = [
+        ([p + 20 for p in parent[:9]] + [parent[9] - 1], True),     # 9 of 10 won
+        ([p + 20 for p in parent[:9]] + [parent[9]], True),         # the tie counts for neither
+        ([p + 20 for p in parent[:8]] + parent[8:], False),         # 8 of 10, two ties
+        ([p + 1 for p in parent], False),                           # median gain inside the spread
+    ]
+    for change, shown in cases:
+        summary = summarize(_qps_pairs(parent, change), END_TO_END)["queries_per_s"]
+        assert summary["gain_shown"] is shown, change
+    slower = summarize(_qps_pairs(parent, [p - 20 for p in parent]), END_TO_END)
+    assert slower["queries_per_s"]["gain_shown"] is False

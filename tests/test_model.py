@@ -4,6 +4,7 @@ import pytest
 from qrepsim.errors import ConfigurationError, PlacementError
 from qrepsim.model import (Network, generate_topology, place_initial_objects,
                            sample_node_attributes)
+from qrepsim.qrep import QRepParams, update_popularities
 from qrepsim.sim import TopologyConfig
 
 from helpers import build_network, stored_size
@@ -179,3 +180,22 @@ def test_store_accounting_and_duplicate_guard():
     with pytest.raises(PlacementError):
         net.remove_object(0, 0)
 
+
+
+def test_touched_marks_exactly_the_written_nodes_without_a_checker():
+    net = build_network({i: [(i + 1) % 5] for i in range(5)}, n_objects=2)
+    assert net.touched == set()
+    net.store_object(1, 0, now_ms=1)
+    net.store_object(3, 0, now_ms=1)
+    net.store_object(3, 1, now_ms=1)
+    assert net.touched == {1, 3}
+    net.touched.clear()
+    net.remove_object(3, 1)
+    assert net.touched == {3}
+    net.touched.clear()
+    net.rq[0, 1] = 2
+    net.n_q[1] = net.n_q[2] = 4                   # node 2 stores nothing
+    for node in (1, 2, 4):                        # node 4 saw no request
+        update_popularities(net, node, QRepParams())
+    assert net.pf[0, 1] > 0
+    assert net.touched == {1}

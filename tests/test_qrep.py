@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from qrepsim.errors import ConfigurationError, EvictionError
+from qrepsim.baselines import place_replica
+from qrepsim.errors import ConfigurationError
 from qrepsim.qrep import (QRepParams, apply_round_updates, build_q_table,
                           compute_reward, evict_for_space, init_q_value,
                           record_visits, refresh_due, replicate_object,
@@ -369,15 +370,35 @@ def test_evict_never_touches_originals():
     net = build_network({0: []}, n_objects=2, capacity=2.0)
     net.store_object(0, 0, 0, original=True)
     net.store_object(0, 1, 0, original=True)
-    with pytest.raises(EvictionError):
-        evict_for_space(net, 0, needed=1.0)
+    assert evict_for_space(net, 0, needed=1.0) == []
     assert net.holds[:, 0].all()
 
 
 def test_evict_oversized_request():
     net = build_network({0: []}, n_objects=1, capacity=2.0)
-    with pytest.raises(EvictionError):
-        evict_for_space(net, 0, needed=5.0)
+    assert evict_for_space(net, 0, needed=5.0) == []
+
+
+def test_oversized_object_keeps_evictable_replicas():
+    # object 2 is larger than node 1's whole capacity, though node 1 holds
+    # two replicas it could evict: nothing is dropped and nothing is stored
+    net = build_network({0: [1], 1: []}, n_objects=3, capacity=[10.0, 5.0],
+                        obj_size=[1.0, 1.0, 8.0])
+    net.store_object(0, 2, 0, original=True)
+    net.store_object(1, 0, now_ms=1)
+    net.store_object(1, 1, now_ms=2)
+    held = net.holds[:, 1].tolist()
+    assert evict_for_space(net, 1, needed=8.0) == []
+    assert not place_replica(net, 1, 2, now_ms=3)
+    net.q_tables[0] = {1: 300.0}
+    targets, probes = select_target_sites(net, 0, 2, P, now_ms=4)
+    assert targets == [1]
+    signals = replicate_object(net, 0, 2, targets, now_ms=4)
+    apply_round_updates(net, 0, probes, signals, P)
+    assert signals == [] and not net.replicated[2, 0]
+    assert net.q_tables[0] == {1: 300.0}
+    assert net.holds[:, 1].tolist() == held == [True, True, False]
+    assert net.free[1] == 3.0
 
 
 def test_evict_accounting_balances():

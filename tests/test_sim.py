@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrepsim.cli import emit_csv
-from qrepsim.errors import ConfigurationError, EvictionError
+from qrepsim.errors import ConfigurationError
 from qrepsim.model import Network, place_initial_objects
 from qrepsim.qrep import QRepParams, evict_for_space
 from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
@@ -221,6 +221,47 @@ def test_churn_keeps_up_count_constant_in_run():
     assert len({r.up_node_count for r in rows}) == 1
 
 
+@pytest.mark.parametrize("strategy", ["qrep", "path"])
+def test_scans_fire_at_every_delta_up_to_the_last_query(strategy):
+    cfg = SimConfig(node_count=30, queries_per_node=10, object_count=4,
+                    metrics_window_queries=100, strategy=strategy, seed=9)
+    sim = Simulation(cfg, QRepParams(delta=20.0))
+    events = []                                   # (kind, now_ms) in run order
+    scan, query = sim._scan_event, sim._query_event
+
+    def record_scan(now_ms):
+        events.append(("scan", now_ms))
+        scan(now_ms)
+
+    def record_query(now_ms, origin, obj):
+        events.append(("query", now_ms))
+        return query(now_ms, origin, obj)
+
+    sim._scan_event, sim._query_event = record_scan, record_query
+    for _ in range(2):                            # a second run counts afresh
+        events.clear()
+        sim.run()
+        scans = [t for kind, t in events if kind == "scan"]
+        last_query = max(t for kind, t in events if kind == "query")
+        expected = list(range(20_000, last_query + 1, 20_000)) if strategy == "qrep" else []
+        assert scans == expected
+        assert sim.scans_run == len(scans)
+        for i, (kind, t) in enumerate(events):     # each scan before the queries at its time
+            if kind == "scan":
+                assert all(q >= t for _kind, q in events[i + 1:])
+    assert strategy == "path" or sim.scans_run > 2
+
+
+@pytest.mark.parametrize("nodes, objects", [(6, 2), (5, 6)])
+def test_network_must_match_the_config(nodes, objects):
+    net = ring_network(nodes, n_objects=objects)
+    for obj in range(objects):
+        net.store_object(obj % nodes, obj, 0, original=True)
+    cfg = SimConfig(node_count=6, queries_per_node=5, object_count=6, seed=1)
+    with pytest.raises(ConfigurationError, match="config asks for 6 and 6"):
+        Simulation(cfg, network=net)
+
+
 # The three tests below write the arrays directly, past the store, so the
 # incremental check cannot see the fault: it surfaces at a full check.
 
@@ -351,16 +392,12 @@ def test_storage_accounting_under_random_operations(sizes, ops):
     before = snapshot(net)
     for t, (op, node, obj) in enumerate(ops, 1):
         if op == "store" and net.up[node] and not net.holds[obj, node]:
-            try:
-                evict_for_space(net, node, net.obj_size[obj])
-            except EvictionError:
+            evict_for_space(net, node, net.obj_size[obj])
+            if net.free[node] < net.obj_size[obj]:
                 continue
             net.store_object(node, obj, t)
         elif op == "evict":
-            try:
-                evict_for_space(net, node, net.obj_size[obj])
-            except EvictionError:
-                pass
+            evict_for_space(net, node, net.obj_size[obj])
         elif op == "remove" and net.holds[obj, node] and not net.original[obj, node]:
             net.remove_object(node, obj)
         elif op == "churn":

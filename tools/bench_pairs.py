@@ -20,7 +20,14 @@ change's wins on `queries_per_s`, the change/parent median ratios of
 side. The file is rewritten after every pair, so a cut run keeps what ran.
 Every end-to-end metric whose change median moved from the parent's the
 way its `better` calls worse by more than its `bound` is listed under the
-group's `flags` and printed as one `FLAG` line on stderr at the end.
+group's `flags` and printed as one `FLAG` line on stderr at the end. Every
+end-to-end metric whose parent runs spread wider than its `bound`
+(quartile distance over median) is listed under `unresolved` and printed
+as one `UNRESOLVED` line, unless every change run beats every parent run:
+such a metric cannot be called unchanged. `queries_per_s` carries
+`gain_shown`, true when the change wins at least nine tenths of the pairs
+(ties count for neither) and its median beats the parent's by more than the
+parent's quartile distance.
 Nothing under `perfbench/` is edited.
 """
 
@@ -85,23 +92,35 @@ def worse_by(parent, change, better):
     return math.inf if delta > 0 else 0.0
 
 
+def spread(q):
+    """Quartile distance over the median of a `quartiles` result."""
+    width = q["q3"] - q["q1"]
+    if q["median"]:
+        return width / abs(q["median"])
+    return math.inf if width > 0 else 0.0
+
+
 def summarize(pairs, end_to_end):
-    """Medians, quartiles, wins and flags over the --trace 0 pairs of one
-    group; `end_to_end` is the metric list of BENCHMARK.json.
-    `csv_hashes_equal` holds when every pair carries metrics-CSV digests
-    and both sides digested the same seeds to the same values."""
+    """Medians, quartiles, wins, flags and unresolved metrics over the
+    --trace 0 pairs of one group; `end_to_end` is the metric list of
+    BENCHMARK.json. `csv_hashes_equal` holds when every pair carries
+    metrics-CSV digests and both sides digested the same seeds to the same
+    values."""
     def values(side, name):
         return [p[side]["metrics"][name]["value"] for p in pairs]
 
-    out = {"pairs": len(pairs), "flags": []}
+    out = {"pairs": len(pairs), "flags": [], "unresolved": []}
     for metric in end_to_end:
         name = metric["name"]
         parent, change = values("parent", name), values("change", name)
         out[name] = {"parent": quartiles(parent), "change": quartiles(change)}
         p_med, c_med = out[name]["parent"]["median"], out[name]["change"]["median"]
         if name == "queries_per_s":
-            out[name]["change_wins"] = sum(c > p for p, c in zip(parent, change))
+            wins = sum(c > p for p, c in zip(parent, change))
+            iqr = out[name]["parent"]["q3"] - out[name]["parent"]["q1"]
+            out[name]["change_wins"] = wins
             out[name]["ratios"] = [round(c / p, 4) for p, c in zip(parent, change)]
+            out[name]["gain_shown"] = wins >= 0.9 * len(pairs) and c_med - p_med > iqr
         if name in ("setup_s", "peak_rss_mb") and p_med:
             out[name]["median_ratio"] = round(c_med / p_med, 4)
         if name in EXACT:
@@ -111,6 +130,15 @@ def summarize(pairs, end_to_end):
             out["flags"].append(
                 f"{name} median {p_med:.6g} -> {c_med:.6g}: {worse:.1%} worse, "
                 f"bound {metric['bound']:.0%}")
+        parent_spread = spread(out[name]["parent"])
+        if metric["better"] == "lower":
+            separated = max(change) < min(parent)
+        else:
+            separated = min(change) > max(parent)
+        if parent_spread > metric["bound"] and not separated:
+            out["unresolved"].append(
+                f"{name} parent spread {parent_spread:.1%} of the median is wider "
+                f"than its bound {metric['bound']:.0%}")
     out["csv_hashes_equal"] = all(p["parent_csv_sha256"]
                                   and p["parent_csv_sha256"] == p["change_csv_sha256"]
                                   for p in pairs)
@@ -160,7 +188,11 @@ def main(argv=None):
             f"run's printed result object; `*_csv_sha256` the metrics-CSV digest of every "
             f"simulated seed. `summary` gives medians and quartiles of the --trace 0 runs "
             f"and `flags` every end-to-end metric whose median moved the wrong way by more "
-            f"than its BENCHMARK.json bound; "
+            f"than its BENCHMARK.json bound; `unresolved` lists every end-to-end metric "
+            f"whose parent runs spread (quartile distance over median) wider than its "
+            f"bound while the two sides' runs overlap, and `gain_shown` says whether "
+            f"`queries_per_s` won at least 9 of 10 pairs by more than the parent's "
+            f"quartile distance; "
             f"`traced` gives [parent, change] per-layer values of the --trace 1 runs."),
         "environment": environment(),
         "summary": {}, "traced": {}, "pairs": [],
@@ -197,6 +229,8 @@ def main(argv=None):
     for group, summary in report["summary"].items():
         for flag in summary["flags"]:
             print(f"FLAG {group}: {flag}", file=sys.stderr)
+        for entry in summary["unresolved"]:
+            print(f"UNRESOLVED {group}: {entry}", file=sys.stderr)
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 
