@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
 import argparse
 import configparser
-import math
 import statistics
 import sys
 from dataclasses import fields, replace
@@ -38,10 +37,7 @@ def _coerce(name, raw, target_type):
         if target_type is int:
             return int(raw)
         if target_type is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"key {name!r}: {raw!r} is not a finite number")
-            return value
+            return float(raw)
         return raw
     except ValueError:
         raise ConfigurationError(f"key {name!r}: cannot parse {raw!r} as {target_type.__name__}")

@@ -1,11 +1,11 @@
 """Overlay topology, node attributes, and the array-backed network state.
 
-The simulator keeps its per-node and per-object state in flat numpy arrays
-(object-major matrices of shape (n_objects, n_nodes)) so the walk and the
-per-visit counters work on contiguous rows. The one exception is the
-per-node request counter `n_q`, a list of Python ints: it is bumped once
-per visited node of every query, and a list item costs less to bump than a
-numpy scalar.
+Store membership, originals, popularity and insertion times are object-major
+numpy matrices (n_objects, n_nodes): a query reads one object's `holds` row
+and replication scans read across nodes. The request-window counters are
+per-node Python structures, a list of ints `n_q` and a list of dicts `rq`:
+they are bumped per visited node and read one node at a time, where a list
+item or dict entry costs less than a numpy scalar.
 """
 
 import numpy as np
@@ -103,9 +103,9 @@ def generate_topology(n, avg_degree, seed, max_retries=64):
     """
     if n < 2:
         raise ConfigurationError(f"node count must be >= 2, got {n}")
-    if avg_degree < 2:
+    if not 2 <= avg_degree < np.inf:
         raise ConfigurationError(
-            f"expected average degree must be >= 2, got {avg_degree}")
+            f"expected average degree must be finite and >= 2, got {avg_degree}")
     p = min(1.0, avg_degree / (n - 1))
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for child in base.spawn(max_retries):
@@ -154,11 +154,11 @@ def sample_node_attributes(topology, n, seed):
 class Network:
     """Full mutable simulation state: one overlay plus all per-node tables.
 
-    Store membership, originals, popularity, per-object request counters and
-    insertion times are (n_objects, n_nodes) matrices; the per-node request
-    counter `n_q` is a list of Python ints, one per node, and the only copy
-    of those counts. Q-tables are small per-node dicts touched only during
-    replication rounds.
+    Store membership, originals, popularity and insertion times are
+    (n_objects, n_nodes) matrices. Node v's request window is `n_q[v]`, the
+    requests v saw, and `rq[v]`, which maps objects v stores to the requests
+    for them v saw (a missing key counts 0). Q-tables are small per-node
+    dicts touched only during replication rounds.
 
     `touched` is the set of nodes whose `holds`, `free` or `pf` column
     changed since an invariant checker last looked (since construction when
@@ -179,17 +179,17 @@ class Network:
         self.up = np.asarray(up, dtype=np.bool_).copy()
         self.degree = overlay.degrees().astype(np.int64)
         self.obj_size = np.asarray(obj_size, dtype=np.float64)
-        if np.any(self.obj_size <= 0):
+        if not np.all(self.obj_size > 0):
             raise ConfigurationError("object sizes must be positive")
 
         self.holds = np.zeros((m, n), dtype=np.bool_)
         self.original = np.zeros((m, n), dtype=np.bool_)
         self.inserted_at = np.zeros((m, n), dtype=np.int64)
         self.pf = np.zeros((m, n), dtype=np.float64)
-        self.rq = np.zeros((m, n), dtype=np.int64)
         self.replicated = np.zeros((m, n), dtype=np.bool_)
 
         self.n_q = [0] * n
+        self.rq = [dict() for _ in range(n)]
         self.q_tables = [dict() for _ in range(n)]
         self.touched = set()
 
@@ -207,7 +207,6 @@ class Network:
         self.original[obj, node] = original
         self.inserted_at[obj, node] = now_ms
         self.pf[obj, node] = 0.0
-        self.rq[obj, node] = 0
         self.replicated[obj, node] = False
         self.free[node] -= size
         self.touched.add(node)
@@ -219,13 +218,10 @@ class Network:
         self.original[obj, node] = False
         self.inserted_at[obj, node] = 0
         self.pf[obj, node] = 0.0
-        self.rq[obj, node] = 0
+        self.rq[node].pop(obj, None)
         self.replicated[obj, node] = False
         self.free[node] += self.obj_size[obj]
         self.touched.add(node)
-
-    def stored_objects(self, node):
-        return np.nonzero(self.holds[:, node])[0]
 
     def replica_counts(self):
         """Per-object replica counts (originals excluded)."""

@@ -40,9 +40,9 @@ class QRepParams:
             raise ConfigurationError(f"eta must be in (0,1), got {self.eta}")
         if not 0 < self.alpha < 1:
             raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
-        for name in ("w1", "w2", "w3"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("w1", "w2", "w3", "b_min", "s_min", "d_min", "delta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be in (0, inf), got {getattr(self, name)}")
         if abs(self.w1 + self.w2 + self.w3 - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"weights must sum to 1 (w1+w2+w3 = {self.w1 + self.w2 + self.w3})")
@@ -50,14 +50,11 @@ class QRepParams:
             raise ConfigurationError(
                 f"w2 must be strictly smaller than w1 and w3, got "
                 f"({self.w1}, {self.w2}, {self.w3})")
-        for name in ("b_min", "s_min", "d_min", "delta"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.5 < self.delta * 1000 < 2 ** 53:
             raise ConfigurationError(
                 f"delta must round to at least 1 ms and stay below 2**53 ms, got {self.delta} s")
-        if self.p_th < 0:
-            raise ConfigurationError(f"p_th must be nonnegative, got {self.p_th}")
+        if not 0 <= self.p_th < math.inf:
+            raise ConfigurationError(f"p_th must be nonnegative and finite, got {self.p_th}")
         if self.update_every < 1 or self.hello_ttl < 1 or self.hello_walkers < 1:
             raise ConfigurationError("update_every, hello_ttl and hello_walkers must be >= 1")
 
@@ -76,12 +73,12 @@ class ReinforcementSignal:
 def record_visits(net, visited, obj):
     """Bump per-node request counters for one query's visited set."""
     held = net.holds[obj].tobytes()
-    n_q = net.n_q
-    rq_row = net.rq[obj]
+    n_q, rq = net.n_q, net.rq
     for v in visited:
         n_q[v] += 1
         if held[v]:
-            rq_row[v] += 1
+            counts = rq[v]
+            counts[obj] = counts.get(obj, 0) + 1
 
 
 def refresh_due(net, visited, params):
@@ -96,19 +93,21 @@ def refresh_due(net, visited, params):
 
 
 def update_popularities(net, node, params):
-    """Refresh every stored object's popularity from the window counters.
+    """Refresh the popularity of each copy requested in the node's window.
 
     popularity += eta * (object requests / node requests) * 100, then the
-    window counters reset. With no requests in the window nothing changes.
+    window counters reset. Unrequested copies would add 0 and are skipped;
+    with no requests in the window nothing changes.
     """
     nq = net.n_q[node]
     if nq == 0:
         return
-    stored = net.stored_objects(node)
-    if len(stored):
-        net.pf[stored, node] += params.eta * (net.rq[stored, node] / nq) * 100.0
+    counts, pf = net.rq[node], net.pf
+    if counts:
+        for obj, r in counts.items():
+            pf[obj, node] += params.eta * (r / nq) * 100.0
+        counts.clear()
         net.touched.add(node)
-    net.rq[:, node] = 0
     net.n_q[node] = 0
 
 

@@ -95,8 +95,10 @@ class TopologyConfig:
     max_retries: int = 64
 
     def validate(self):
-        if self.object_size <= 0:
-            raise ConfigurationError("object_size must be positive")
+        if not 2 <= self.avg_degree < math.inf:
+            raise ConfigurationError(f"avg_degree must be finite and >= 2, got {self.avg_degree}")
+        if not 0 < self.object_size < math.inf:
+            raise ConfigurationError(f"object_size must be finite and > 0, got {self.object_size}")
         if self.max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
         if not 0 < self.storage_min <= self.storage_max < 2 ** 53:

@@ -45,7 +45,7 @@ def test_criterion_1_formula_oracles():
         net = build_network({0: []}, n_objects=1)
         net.store_object(0, 0, 0)
         net.pf[0, 0] = pf0
-        net.rq[0, 0], net.n_q[0] = rq, nq
+        net.rq[0][0], net.n_q[0] = rq, nq
         update_popularities(net, 0, QRepParams(eta=eta))
         expected = pf0 + eta * (rq / nq) * 100.0
         worst = max(worst, abs(net.pf[0, 0] - expected))
@@ -53,11 +53,11 @@ def test_criterion_1_formula_oracles():
     # worked examples from the contract
     net = build_network({0: []}, n_objects=1)
     net.store_object(0, 0, 0)
-    net.rq[0, 0], net.n_q[0] = 5, 50
+    net.rq[0][0], net.n_q[0] = 5, 50
     update_popularities(net, 0, QRepParams(eta=0.5))
     worst = max(worst, abs(net.pf[0, 0] - 5.0))
     net.pf[0, 0] = 5.0
-    net.rq[0, 0], net.n_q[0] = 50, 50
+    net.rq[0][0], net.n_q[0] = 50, 50
     update_popularities(net, 0, QRepParams(eta=0.5))
     worst = max(worst, abs(net.pf[0, 0] - 55.0))
 

@@ -1,12 +1,16 @@
-"""tools/bench_pairs.py summarises seed-paired runs and flags regressions."""
+"""tools/bench_pairs.py summarises seed-paired runs, flags regressions and names
+the commits it compared."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import revisions, summarize  # noqa: E402
 
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
@@ -96,3 +100,28 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_parent_spread():
         assert summary["gain_shown"] is shown, change
     slower = summarize(_qps_pairs(parent, [p - 20 for p in parent]), END_TO_END)
     assert slower["queries_per_s"]["gain_shown"] is False
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_revisions_names_both_commits_and_the_uncommitted_paths(tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.py").write_text("1\n")
+    _git(tmp_path, "add", "a.py")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    first = _git(tmp_path, "rev-parse", "HEAD")
+    (tmp_path / "a.py").write_text("2\n")
+    _git(tmp_path, "commit", "-q", "-am", "second")
+    second = _git(tmp_path, "rev-parse", "HEAD")
+    assert revisions(tmp_path, "HEAD") == {
+        "parent_commit": second, "change_head": second, "change_uncommitted": []}
+    (tmp_path / "a.py").write_text("3\n")
+    (tmp_path / "b.txt").write_text("x\n")
+    compared = revisions(tmp_path, "HEAD~1")
+    assert compared["parent_commit"] == first and compared["change_head"] == second
+    assert compared["change_uncommitted"] == ["a.py", "b.txt"]
+    with pytest.raises(SystemExit):
+        revisions(tmp_path, "no-such-revision")

@@ -124,6 +124,29 @@ def test_fractional_storage_bounds_rejected(bounds):
         TopologyConfig(storage_min=storage_min, storage_max=storage_max).validate()
 
 
+# NaN fails no `x <= 0` test, so each bound must reject it (and inf) itself:
+# p_th = nan would never replicate, avg_degree = nan or inf would build a
+# complete graph, and object_size = nan would end in a PlacementError
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: QRepParams(b_min=v).validate(), id="b_min"),
+    pytest.param(lambda v: QRepParams(s_min=v).validate(), id="s_min"),
+    pytest.param(lambda v: QRepParams(d_min=v).validate(), id="d_min"),
+    pytest.param(lambda v: QRepParams(p_th=v).validate(), id="p_th"),
+    pytest.param(lambda v: TopologyConfig(avg_degree=v).validate(), id="avg_degree"),
+    pytest.param(lambda v: TopologyConfig(object_size=v).validate(), id="object_size"),
+    pytest.param(lambda v: generate_topology(50, v, seed=0), id="generate_topology"),
+])
+def test_non_finite_bounds_rejected(build, value):
+    with pytest.raises(ConfigurationError):
+        build(value)
+
+
+def test_network_rejects_nan_object_size():
+    with pytest.raises(ConfigurationError):
+        build_network({0: [1], 1: []}, n_objects=2, obj_size=[1.0, float("nan")])
+
+
 # -- initial placement ----------------------------------------------------------
 
 def test_single_object_single_node():
@@ -193,7 +216,7 @@ def test_touched_marks_exactly_the_written_nodes_without_a_checker():
     net.remove_object(3, 1)
     assert net.touched == {3}
     net.touched.clear()
-    net.rq[0, 1] = 2
+    net.rq[1][0] = 2
     net.n_q[1] = net.n_q[2] = 4                   # node 2 stores nothing
     for node in (1, 2, 4):                        # node 4 saw no request
         update_popularities(net, node, QRepParams())

@@ -44,7 +44,7 @@ def test_record_request_held_and_absent():
     record_visits(net, [0], 0)
     record_visits(net, [0], 1)
     assert net.n_q[0] == 2
-    assert net.rq[0, 0] == 1 and net.rq[1, 0] == 0
+    assert net.rq[0] == {0: 1}                    # object 1 is not held: no key
 
 
 def test_batched_visit_counting_matches_scalar():
@@ -60,21 +60,21 @@ def test_batched_visit_counting_matches_scalar():
         record_visits(net_b, [v], 0)
     for net in (net_a, net_b):
         assert net.n_q == [1, 0, 1, 0, 1, 1]
-        assert net.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+        assert net.rq == [{}, {}, {0: 1}, {}, {}, {}]
     record_visits(net_a, [4, 0], 1)
     assert net_a.n_q == [2, 0, 1, 0, 2, 1]
-    assert net_a.rq.tolist() == [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
+    assert net_a.rq == [{}, {}, {0: 1}, {}, {1: 1}, {}]
 
 
 def test_popularity_update_worked_examples():
     net = build_network({0: []}, n_objects=1)
     net.store_object(0, 0, 0)
-    net.rq[0, 0], net.n_q[0] = 5, 50
+    net.rq[0][0], net.n_q[0] = 5, 50
     update_popularities(net, 0, P)
     assert net.pf[0, 0] == pytest.approx(5.0, abs=1e-12)   # 0 + 0.5*(5/50)*100
 
     net.pf[0, 0] = 5.0
-    net.rq[0, 0], net.n_q[0] = 50, 50
+    net.rq[0][0], net.n_q[0] = 50, 50
     update_popularities(net, 0, P)
     assert net.pf[0, 0] == pytest.approx(55.0, abs=1e-12)  # 5 + 0.5*100
 
@@ -100,10 +100,10 @@ def test_refresh_due_updates_only_full_windows():
     net = build_network({0: [1], 1: [2], 2: []}, n_objects=1)
     for v in range(3):
         net.store_object(v, 0, 0)
-    net.rq[0], net.n_q[:] = [5, 5, 5], [50, 49, 50]
+    net.rq[:], net.n_q[:] = [{0: 5}, {0: 5}, {0: 5}], [50, 49, 50]
     assert refresh_due(net, [2, 1], P) == 1        # node 0 was not visited
     assert net.pf[0].tolist() == [0.0, 0.0, 5.0]
-    assert net.n_q == [50, 49, 0] and net.rq[0].tolist() == [5, 5, 0]
+    assert net.n_q == [50, 49, 0] and net.rq == [{0: 5}, {0: 5}, {}]
 
 
 def test_visit_counters_match_a_numpy_recount():
@@ -146,7 +146,8 @@ def test_visit_counters_match_a_numpy_recount():
                 expected_due += 1
         assert due == expected_due
         assert net.n_q == n_q.tolist()
-        assert np.array_equal(net.rq, rq)
+        assert net.rq == [{int(o): int(rq[o, v]) for o in np.nonzero(rq[:, v])[0]}
+                          for v in range(n)]
         assert net.pf.tobytes() == pf.tobytes()
         refreshed += due
     assert refreshed > 100 and pf.max() > 0
@@ -155,9 +156,9 @@ def test_visit_counters_match_a_numpy_recount():
 def test_popularity_window_counters_reset():
     net = build_network({0: []}, n_objects=1)
     net.store_object(0, 0, 0)
-    net.rq[0, 0], net.n_q[0] = 7, 50
+    net.rq[0][0], net.n_q[0] = 7, 50
     update_popularities(net, 0, P)
-    assert net.rq[0, 0] == 0 and net.n_q[0] == 0
+    assert net.rq[0] == {} and net.n_q[0] == 0
 
 
 def test_popularity_monotone_nonnegative():
@@ -169,7 +170,7 @@ def test_popularity_monotone_nonnegative():
         total = 0
         for o in range(3):
             r = rng.randrange(0, 5)
-            net.rq[o, 0] += r
+            net.rq[0][o] = net.rq[0].get(o, 0) + r
             total += r
         net.n_q[0] = total + rng.randrange(0, 10)
         before = net.pf[:, 0].copy()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError
 from qrepsim.model import Network, place_initial_objects
-from qrepsim.qrep import QRepParams, evict_for_space
+from qrepsim.qrep import QRepParams, evict_for_space, record_visits
 from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
                          apply_churn, collect_metrics, schedule_workload)
 
@@ -391,6 +391,7 @@ def test_storage_accounting_under_random_operations(sizes, ops):
     checker = InvariantChecker(net)
     before = snapshot(net)
     for t, (op, node, obj) in enumerate(ops, 1):
+        record_visits(net, range(net.n_nodes), obj)   # every holder of obj gets a count
         if op == "store" and net.up[node] and not net.holds[obj, node]:
             evict_for_space(net, node, net.obj_size[obj])
             if net.free[node] < net.obj_size[obj]:
@@ -407,6 +408,7 @@ def test_storage_accounting_under_random_operations(sizes, ops):
         before = snapshot(net)
         for v in range(net.n_nodes):
             assert stored_size(net, v) + net.free[v] == net.capacity[v]
+            assert all(net.holds[o, v] for o in net.rq[v])
     assert checker.violations == []
     assert net.original.sum() == 6 and net.original[range(6), range(6)].all()
 

@@ -27,7 +27,9 @@ as one `UNRESOLVED` line, unless every change run beats every parent run:
 such a metric cannot be called unchanged. `queries_per_s` carries
 `gain_shown`, true when the change wins at least nine tenths of the pairs
 (ties count for neither) and its median beats the parent's by more than the
-parent's quartile distance.
+parent's quartile distance. The file names what it compared: the parent's
+commit id, the checkout's HEAD commit id, and the paths `git status
+--porcelain` lists in the checkout when the runs start.
 Nothing under `perfbench/` is edited.
 """
 
@@ -58,6 +60,24 @@ def unpack(rev, into):
         tar.extractall(into, filter="data")
     if archive.wait() != 0:
         sys.exit(f"error: git archive {rev} failed")
+
+
+def git(root, *args):
+    """Stdout of one git command run in the repository at `root`."""
+    proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: git {' '.join(args)} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def revisions(root, parent):
+    """What the two sides run: the commit id of `parent`, the commit id of
+    the checkout's HEAD, and the paths `git status --porcelain` lists, whose
+    working-tree state the change side runs on top of HEAD."""
+    return {"parent_commit": git(root, "rev-parse", "--verify", parent + "^{commit}").strip(),
+            "change_head": git(root, "rev-parse", "--verify", "HEAD^{commit}").strip(),
+            "change_uncommitted": [line[3:] for line in
+                                   git(root, "status", "--porcelain").splitlines()]}
 
 
 def run_bench(tree, workload, seed, seconds, trace):
@@ -179,10 +199,13 @@ def main(argv=None):
     seconds = benchmark["run_seconds"]
 
     out_path = ROOT / f"BENCH_{args.pr}.json"
+    compared = revisions(ROOT, args.parent)
     report = {
         "description": (
-            f"Seed-paired perfbench runs, parent commit ({args.parent}) against this "
-            f"change, order alternated per pair (\"first\" says which side ran first). "
+            f"Seed-paired perfbench runs, parent commit {compared['parent_commit']} "
+            f"({args.parent}) against this change (HEAD {compared['change_head']} plus "
+            f"the working-tree paths in `change_uncommitted`), order alternated per "
+            f"pair (\"first\" says which side ran first). "
             f"Each side ran `python3 perfbench/run.py --workload W --seed N --seconds "
             f"{seconds:g} --trace T` from its own tree. `parent`/`change` hold each "
             f"run's printed result object; `*_csv_sha256` the metrics-CSV digest of every "
@@ -195,6 +218,7 @@ def main(argv=None):
             f"quartile distance; "
             f"`traced` gives [parent, change] per-layer values of the --trace 1 runs."),
         "environment": environment(),
+        **compared,
         "summary": {}, "traced": {}, "pairs": [],
     }
     jobs = [(w, seed, 0, f"{w} seeds {a}-{b}")
@@ -204,7 +228,7 @@ def main(argv=None):
             jobs.append((w, args.trace_seed, 1, None))
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as tmp:
-        unpack(args.parent, tmp)
+        unpack(compared["parent_commit"], tmp)
         trees = {"parent": tmp, "change": str(ROOT)}
         for i, (workload, seed, trace, group) in enumerate(jobs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
