@@ -1,8 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qrepsim.errors import ConfigurationError, PlacementError
-from qrepsim.model import (Network, generate_topology, place_initial_objects,
+from qrepsim.model import (Network, Overlay, generate_topology, place_initial_objects,
                            sample_node_attributes)
 from qrepsim.qrep import QRepParams, update_popularities
 from qrepsim.sim import TopologyConfig
@@ -69,8 +72,62 @@ def test_invalid_topology_args():
         generate_topology(100, 1.5, seed=0)
 
 
+def _digest(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.asarray(a, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of (indptr, indices, edge_rev) per (n, avg_degree, seed): the first
+# draw comes out connected (2-30-50 nodes), is bridged (120, 1000; the 1000-
+# node triangle spans several sampling blocks), or is retried before it is
+# bridged (50 nodes: 3 draws, 100: 7, 600: 3 over several blocks)
+PINNED_TOPOLOGY_SHA256 = {
+    (2, 2.0, 0):
+        "f1c56e7c4ed0c4b066c0202e7d3e7c1aeb7ab0f3d57ecb28b6adf5d9f9c0797a",
+    (30, 6.0, 1):
+        "557da1a83a047621d5b37777f7d9c5ebea016f201e8b309e01ad43980a277062",
+    (50, 8.0, 0):
+        "8d83a1af958c709c1a121ff75b5e3262b15cd46740d9579c715be35146b3bcc5",
+    (120, 3.0, 0):
+        "508f09dbe2a48018f7523d47dade65bd5e14807df860084942025d419bd59c7f",
+    (1000, 4.0, 0):
+        "30c40c10f5470bd164e3747d73e22c8fc1400b33d12f80d44031bef83e8cf0a9",
+    (50, 2.0, 3):
+        "36fac1d320e2894bb4554057e3a7b7f1cb2af48e982aba5fa1ea09f39c1c7678",
+    (100, 2.5, 4):
+        "55f07f733374233479229df6edc82661104ab5ecd5c67df7feb8d2a018694f2d",
+    (600, 2.6, 6):
+        "aec80075d4a6d133d51b55af215e20fe22388275e1c37404de5574aae4f76aee",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TOPOLOGY_SHA256), ids=str)
+def test_topology_pinned(case):
+    ov = generate_topology(*case)
+    assert _digest(ov.indptr, ov.indices, ov.edge_rev) == PINNED_TOPOLOGY_SHA256[case]
+
+
+def test_topology_retries_run_out_alike():
+    # the draw that connects comes 13th for this seed
+    with pytest.raises(ConfigurationError, match="after 12 attempts"):
+        generate_topology(50, 2.0, seed=4, max_retries=12)
+    assert generate_topology(50, 2.0, seed=4, max_retries=13).node_count == 50
+
+
+def test_topology_memory_stays_below_a_whole_triangle_draw():
+    # one draw over the 3000-node upper triangle would take 36 MB
+    tracemalloc.start()
+    try:
+        generate_topology(3000, 4.0, seed=1)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 def test_from_adjacency_rejects_self_loops():
-    from qrepsim.model import Overlay
     with pytest.raises(ConfigurationError):
         Overlay.from_adjacency({0: [0, 1], 1: []})
 
@@ -147,6 +204,12 @@ def test_network_rejects_nan_object_size():
         build_network({0: [1], 1: []}, n_objects=2, obj_size=[1.0, float("nan")])
 
 
+@pytest.mark.parametrize("size", [float("inf"), float("-inf")], ids=str)
+def test_network_rejects_infinite_object_size(size):
+    with pytest.raises(ConfigurationError):
+        build_network({0: [1], 1: []}, n_objects=2, obj_size=[1.0, size])
+
+
 # -- initial placement ----------------------------------------------------------
 
 def test_single_object_single_node():
@@ -186,6 +249,36 @@ def test_placement_deterministic():
                       np.ones(100, dtype=bool), np.ones(20))
         return place_initial_objects(net, seed=5)
     assert fresh() == fresh()
+
+
+def _placement_network(obj_size):
+    """200 up-or-down nodes with 1-3 units each: hosts fill up as objects land."""
+    rng = np.random.default_rng(11)
+    ov = generate_topology(200, 4.0, seed=11)
+    up = rng.random(200) < 0.8
+    return Network(ov, np.ones(200), rng.integers(1, 4, size=200).astype(float), up, obj_size)
+
+
+PINNED_PLACEMENT_SHA256 = {
+    "uniform":
+        "4e4731fe9439f423b51c839d26ae933fa545c9f1ed7815c4c0b46ac7cf8b65ef",
+    "mixed":
+        "1f2186de4aaebc16fa13157562eebd6e50edde0d70996bf518182e0010322512",
+}
+
+
+@pytest.mark.parametrize("sizes", list(PINNED_PLACEMENT_SHA256))
+def test_placement_pinned(sizes):
+    if sizes == "uniform":
+        obj_size = np.ones(300)
+    else:                                         # runs of equal sizes and lone ones
+        obj_size = np.random.default_rng(12).choice([0.5, 1.0, 1.0, 2.0, 2.5], size=140)
+        obj_size[40:70] = 1.5
+    net = _placement_network(obj_size)
+    hosts = place_initial_objects(net, seed=13)
+    assert list(hosts) == list(range(net.n_objects))
+    assert _digest(list(hosts.values())) == PINNED_PLACEMENT_SHA256[sizes]
+    assert np.allclose(net.obj_size @ net.holds + net.free, net.capacity)
 
 
 # -- network state ----------------------------------------------------------------

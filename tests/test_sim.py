@@ -110,6 +110,27 @@ def test_workload_deterministic():
         assert np.array_equal(x, y)
 
 
+PINNED_SCHEDULE_SHA256 = {
+    "uniform":
+        "552c3b9263db8c478b3e0605abdd8e3420fd50dae2344acf4c0d4455af46e0fe",
+    "zipf:0.8":
+        "55955dea632b8fbce81af943941d48c2394aaffe4ce4fee7fb557a2aad68d1bf",
+}
+
+
+@pytest.mark.parametrize("popularity", list(PINNED_SCHEDULE_SHA256))
+def test_schedule_pinned(popularity):
+    # sha256 of (times, origins, targets); every tenth node is down
+    net = ring_network(200)
+    net.up[::10] = False
+    cfg = SimConfig(node_count=200, queries_per_node=30, object_count=40,
+                    mean_query_interval_s=0.7, query_popularity=popularity)
+    digest = hashlib.sha256()
+    for a in schedule_workload(cfg, net, np.random.default_rng(5)):
+        digest.update(a.astype(np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_SCHEDULE_SHA256[popularity]
+
+
 # -- churn -------------------------------------------------------------------------
 
 def test_churn_flips_equal_counts():
