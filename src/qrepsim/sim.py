@@ -165,38 +165,34 @@ def schedule_workload(config, net, rng):
     exponential inter-arrival gaps after a uniformly random start offset;
     per-node timestamps are strictly increasing. Targets follow the
     configured popularity. Ties across nodes keep schedule order.
+
+    The draws go node by node in id order (offset, gaps, targets), one row
+    of a (nodes, queries_per_node) array each; timestamps are then derived
+    and sorted over the whole array at once.
     """
     kind, theta = config.popularity_profile()
-    m = config.object_count
+    m, q = config.object_count, config.queries_per_node
     if kind == "zipf":
         weights = 1.0 / np.arange(1, m + 1, dtype=np.float64) ** theta
         probs = weights / weights.sum()
     mean_ms = config.mean_query_interval_s * 1000.0
-    times, origins, targets = [], [], []
-    for node in range(net.n_nodes):
-        if not net.up[node]:
-            continue
-        offset = int(rng.integers(0, max(1, int(round(mean_ms)))))
-        gaps = np.round(rng.exponential(config.mean_query_interval_s,
-                                        config.queries_per_node) * 1000.0).astype(np.int64)
-        # strict increase survives ms rounding: t[i] >= t[i-1] + 1
-        steps = np.arange(len(gaps))
-        t = np.maximum.accumulate(offset + np.cumsum(gaps) - steps) + steps
+    nodes = np.flatnonzero(net.up)
+    offsets = np.empty((len(nodes), 1), dtype=np.int64)
+    gaps = np.empty((len(nodes), q))
+    targets = np.empty((len(nodes), q), dtype=np.int64)
+    for i in range(len(nodes)):
+        offsets[i] = rng.integers(0, max(1, int(round(mean_ms))))
+        gaps[i] = rng.exponential(config.mean_query_interval_s, q)
         if kind == "uniform":
-            objs = rng.integers(0, m, size=config.queries_per_node)
+            targets[i] = rng.integers(0, m, size=q)
         else:
-            objs = rng.choice(m, size=config.queries_per_node, p=probs)
-        times.append(t)
-        origins.append(np.full(config.queries_per_node, node, dtype=np.int64))
-        targets.append(objs.astype(np.int64))
-    if not times:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    times = np.concatenate(times)
-    origins = np.concatenate(origins)
-    targets = np.concatenate(targets)
-    order = np.argsort(times, kind="stable")
-    return times[order], origins[order], targets[order]
+            targets[i] = rng.choice(m, size=q, p=probs)
+    # strict increase survives ms rounding: t[i] >= t[i-1] + 1
+    steps = np.arange(q)
+    times = np.round(gaps * 1000.0).astype(np.int64).cumsum(axis=1)
+    times = np.maximum.accumulate(offsets + times - steps, axis=1) + steps
+    order = np.argsort(times.ravel(), kind="stable")
+    return times.ravel()[order], np.repeat(nodes, q)[order], targets.ravel()[order]
 
 
 def apply_churn(net, config, rng):

@@ -102,6 +102,35 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_parent_spread():
     assert slower["queries_per_s"]["gain_shown"] is False
 
 
+def test_gain_needs_ten_pairs_however_clear_the_wins():
+    parent = [100.0, 101.0, 102.0]
+    summary = summarize(_qps_pairs(parent, [p + 50 for p in parent]), END_TO_END)
+    assert summary["queries_per_s"]["change_wins"] == 3
+    assert summary["queries_per_s"]["gain_shown"] is False
+    assert summary["queries_per_s"]["gain_reason"].startswith("3 pairs")
+
+
+def test_lower_is_better_metric_gains_by_lower_values():
+    parent = [0.020, 0.021, 0.022, 0.023, 0.024, 0.020, 0.021, 0.022, 0.023, 0.024]
+
+    def setup_summary(change):
+        pairs = [_pair({"setup_s": p}, {"setup_s": c}) for p, c in zip(parent, change)]
+        return summarize(pairs, END_TO_END)["setup_s"]
+
+    faster = setup_summary([p / 3 for p in parent])
+    assert faster["change_wins"] == 10 and faster["gain_shown"] is True
+    assert "gain_reason" not in faster
+    slower = setup_summary([p * 3 for p in parent])
+    assert slower["change_wins"] == 0 and slower["gain_shown"] is False
+    assert slower["gain_reason"].startswith("won 0 of 10")
+    close = setup_summary([p - 0.0001 for p in parent])
+    assert close["change_wins"] == 10 and close["gain_shown"] is False
+    assert close["gain_reason"].startswith("median gain")
+    # every end-to-end metric is judged, each by its own direction
+    assert all("gain_shown" in summarize([_pair({}, {})] * 10, END_TO_END)[m["name"]]
+               for m in END_TO_END)
+
+
 def _git(repo, *args):
     return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
                            *args], capture_output=True, text=True, check=True).stdout.strip()

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrepsim import model
 from qrepsim.errors import ConfigurationError, PlacementError
 from qrepsim.model import (Network, Overlay, generate_topology, place_initial_objects,
                            sample_node_attributes)
@@ -127,9 +128,58 @@ def test_topology_memory_stays_below_a_whole_triangle_draw():
     assert peak < 8e6, peak
 
 
+@pytest.mark.parametrize("n", [2, 3, 600, 1000])
+def test_triangle_blocks_draw_what_a_row_loop_draws(n):
+    # 600 and 1000 nodes: a block ends inside a row
+    p = 4.0 / (n - 1)
+    expect = []
+    rng = np.random.default_rng(n)
+    for u in range(n):
+        expect += [(u, v) for v in np.flatnonzero(rng.random(n - u - 1) < p) + u + 1]
+    after_rows = rng.integers(0, 2 ** 62)
+    rng = np.random.default_rng(n)
+    u, v = model._sample_triangle(rng, n, p)
+    assert list(zip(u.tolist(), v.tolist())) == expect
+    assert rng.integers(0, 2 ** 62) == after_rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_component_labels_match_a_depth_first_search(seed):
+    # sparse random graphs with many components, numbered by a DFS started
+    # at every unlabelled node in id order
+    rng = np.random.default_rng(seed)
+    n = 300
+    u, v = rng.integers(0, n, size=(2, 200))
+    u, v = u[u != v], v[u != v]
+    nbrs = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    expect = [-1] * n
+    comp = 0
+    for start in range(n):
+        if expect[start] < 0:
+            expect[start] = comp
+            stack = [start]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if expect[w] < 0:
+                        expect[w] = comp
+                        stack.append(w)
+            comp += 1
+    labels, n_comp = model._component_labels(n, u, v)
+    assert labels.tolist() == expect and n_comp == comp
+
+
 def test_from_adjacency_rejects_self_loops():
     with pytest.raises(ConfigurationError):
         Overlay.from_adjacency({0: [0, 1], 1: []})
+
+
+@pytest.mark.parametrize("adjacency", [{0: [2], 1: []}, {0: [-1], 1: [0]}], ids=str)
+def test_from_adjacency_rejects_unknown_nodes(adjacency):
+    with pytest.raises(ConfigurationError, match="outside nodes 0..1"):
+        Overlay.from_adjacency(adjacency)
 
 
 # -- attribute sampling --------------------------------------------------------

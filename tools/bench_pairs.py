@@ -15,7 +15,7 @@ runs first from one pair to the next. With `--trace-seed N` it adds one
 `--trace 1` pair per workload. It writes
 `BENCH_<pr>.json`: every pair's printed result objects and metrics-CSV
 digests, per-side medians and quartiles of the end-to-end metrics, the
-change's wins on `queries_per_s`, the change/parent median ratios of
+change's wins on each of them, the change/parent median ratios of
 `setup_s` and `peak_rss_mb`, and the traced per-layer values side by
 side. The file is rewritten after every pair, so a cut run keeps what ran.
 Every end-to-end metric whose change median moved from the parent's the
@@ -24,10 +24,12 @@ group's `flags` and printed as one `FLAG` line on stderr at the end. Every
 end-to-end metric whose parent runs spread wider than its `bound`
 (quartile distance over median) is listed under `unresolved` and printed
 as one `UNRESOLVED` line, unless every change run beats every parent run:
-such a metric cannot be called unchanged. `queries_per_s` carries
-`gain_shown`, true when the change wins at least nine tenths of the pairs
-(ties count for neither) and its median beats the parent's by more than the
-parent's quartile distance. The file names what it compared: the parent's
+such a metric cannot be called unchanged. Every end-to-end metric carries
+`change_wins`, the pairs the change won the way its `better` says (ties
+count for neither), and `gain_shown`: true when there are at least ten
+pairs, the change wins at least nine tenths of them and its median beats
+the parent's by more than the parent's quartile distance; when false,
+`gain_reason` says which of these failed. The file names what it compared: the parent's
 commit id, the checkout's HEAD commit id, and the paths `git status
 --porcelain` lists in the checkout when the runs start.
 Nothing under `perfbench/` is edited.
@@ -50,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST = re.compile(r"^\S+ seed (\d+) metrics CSV sha256 ([0-9a-f]{64})$")
 # end-to-end metrics whose value must not depend on the code's speed
 EXACT = ("probes_per_query", "hops_per_hit", "queries_found")
+# a gain claim needs at least this many pairs
+MIN_GAIN_PAIRS = 10
 
 
 def unpack(rev, into):
@@ -120,6 +124,26 @@ def spread(q):
     return math.inf if width > 0 else 0.0
 
 
+def gain(parent, change, parent_q, c_med, better):
+    """`change_wins` and `gain_shown` (with `gain_reason` when false) of one
+    metric over seed-paired runs; `better` is "lower" or "higher"."""
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    margin = sign * (c_med - parent_q["median"])
+    iqr = parent_q["q3"] - parent_q["q1"]
+    out = {"change_wins": wins, "gain_shown": False}
+    if len(parent) < MIN_GAIN_PAIRS:
+        out["gain_reason"] = f"{len(parent)} pairs, a gain needs at least {MIN_GAIN_PAIRS}"
+    elif wins < 0.9 * len(parent):
+        out["gain_reason"] = f"won {wins} of {len(parent)} pairs, a gain needs nine tenths"
+    elif not margin > iqr:
+        out["gain_reason"] = (f"median gain {margin:.6g} is not above the parent's "
+                              f"quartile distance {iqr:.6g}")
+    else:
+        out["gain_shown"] = True
+    return out
+
+
 def summarize(pairs, end_to_end):
     """Medians, quartiles, wins, flags and unresolved metrics over the
     --trace 0 pairs of one group; `end_to_end` is the metric list of
@@ -135,12 +159,9 @@ def summarize(pairs, end_to_end):
         parent, change = values("parent", name), values("change", name)
         out[name] = {"parent": quartiles(parent), "change": quartiles(change)}
         p_med, c_med = out[name]["parent"]["median"], out[name]["change"]["median"]
+        out[name].update(gain(parent, change, out[name]["parent"], c_med, metric["better"]))
         if name == "queries_per_s":
-            wins = sum(c > p for p, c in zip(parent, change))
-            iqr = out[name]["parent"]["q3"] - out[name]["parent"]["q1"]
-            out[name]["change_wins"] = wins
             out[name]["ratios"] = [round(c / p, 4) for p, c in zip(parent, change)]
-            out[name]["gain_shown"] = wins >= 0.9 * len(pairs) and c_med - p_med > iqr
         if name in ("setup_s", "peak_rss_mb") and p_med:
             out[name]["median_ratio"] = round(c_med / p_med, 4)
         if name in EXACT:
@@ -213,9 +234,10 @@ def main(argv=None):
             f"and `flags` every end-to-end metric whose median moved the wrong way by more "
             f"than its BENCHMARK.json bound; `unresolved` lists every end-to-end metric "
             f"whose parent runs spread (quartile distance over median) wider than its "
-            f"bound while the two sides' runs overlap, and `gain_shown` says whether "
-            f"`queries_per_s` won at least 9 of 10 pairs by more than the parent's "
-            f"quartile distance; "
+            f"bound while the two sides' runs overlap, and each metric's `gain_shown` says "
+            f"whether the change won at least 9 of at least 10 pairs and beat the parent's "
+            f"median by more than the parent's quartile distance (`gain_reason` says why "
+            f"not); "
             f"`traced` gives [parent, change] per-layer values of the --trace 1 runs."),
         "environment": environment(),
         **compared,
