@@ -29,9 +29,9 @@ such a metric cannot be called unchanged. Every end-to-end metric carries
 count for neither), and `gain_shown`: true when there are at least ten
 pairs, the change wins at least nine tenths of them and its median beats
 the parent's by more than the parent's quartile distance; when false,
-`gain_reason` says which of these failed. The file names what it compared: the parent's
-commit id, the checkout's HEAD commit id, and the paths `git status
---porcelain` lists in the checkout when the runs start.
+`gain_reason` says which of these failed. The file names what it
+compared: the parent's commit id, the checkout's HEAD commit id, and the
+paths `git status --porcelain` lists in the checkout when the runs start.
 Nothing under `perfbench/` is edited.
 """
 
