@@ -8,10 +8,12 @@ every random stream is derived from the run seed (numpy PCG64 for setup,
 workload, churn and random placement; the MINSTD stream of
 :mod:`qrepsim.search` for the walks).
 
-With `check_invariants` an :class:`InvariantChecker` watches the run. After
-every event it checks the nodes whose stores or popularities that event
-changed; at the query event that closes a metrics window and at the last
-event it checks every node.
+A query whose origin is down when its time comes is never issued.
+
+With `check_invariants` an :class:`InvariantChecker` watches the run through
+one hook after every event: it checks the nodes whose stores or popularities
+that event changed, and at the query event that closes a metrics window and
+at the last event every node, every Q-table and the up count.
 """
 
 import math
@@ -42,7 +44,6 @@ class SimConfig:
     query_popularity: str = "uniform"    # "uniform" or "zipf:<theta>"
     seed: int = 1
     metrics_window_queries: int = 5000
-    count_down_origin_as_failure: bool = False
     requester_copy: bool = False
 
     def validate(self):
@@ -221,9 +222,9 @@ class InvariantChecker:
     The network's store writers mark every node whose `holds`, `free` or
     `pf` column they change in `net.touched`; the checker empties that set
     when it starts and at every check. `after_event` checks only the marked
-    nodes, unless `full` asks for every node. A write that bypasses the
-    store is invisible to the marking and surfaces only at the next full
-    check."""
+    nodes, unless `full` asks for every node, every Q-table and the up count
+    read at construction. A write past the store is not marked and surfaces
+    only at the next full check."""
 
     MAX_REPORTS = 20
 
@@ -231,6 +232,7 @@ class InvariantChecker:
         self.net = net
         self.violations = []
         self.events_checked = 0
+        self.up_count = int(net.up.sum())
         net.touched.clear()
 
     def _report(self, message):
@@ -242,9 +244,11 @@ class InvariantChecker:
         touched since the last check (every node if `full`), in id order.
 
         Each kind of violation is reported at most once per event; storage
-        names the first node that is off."""
+        and Q-values name the first node that is off."""
         net = self.net
         self.events_checked += 1
+        if not (full or net.touched):
+            return
         nodes = range(net.n_nodes) if full else sorted(net.touched)
         net.touched.clear()
         drifted = None
@@ -263,15 +267,17 @@ class InvariantChecker:
             self._report(f"t={now_ms}: negative or NaN popularity")
         if bad_free:
             self._report(f"t={now_ms}: negative or NaN free storage")
-
-    def after_round(self, source, now_ms):
-        for peer, q in self.net.q_tables[source].items():
-            if not q >= 0:
-                self._report(f"t={now_ms}: negative or NaN q for peer {peer} at node {source}")
-
-    def check_churn(self, before, after, now_ms):
-        if before != after:
-            self._report(f"t={now_ms}: churn changed up count {before} -> {after}")
+        if not full:
+            return
+        # min catches a negative value, sum a NaN anywhere in the table
+        for node, table in enumerate(net.q_tables):
+            values = table.values()
+            if values and not (min(values) >= 0 and sum(values) >= 0):
+                peer = next(p for p, q in table.items() if not q >= 0)
+                self._report(f"t={now_ms}: negative or NaN q for peer {peer} at node {node}")
+                break
+        if (up_count := int(net.up.sum())) != self.up_count:
+            self._report(f"t={now_ms}: up count changed {self.up_count} -> {up_count}")
 
 
 class Simulation:
@@ -334,17 +340,13 @@ class Simulation:
         else:
             sources = np.nonzero(net.up)[0]
         for source in sources.tolist():
-            placed = qrep.run_replication_round(net, self.ctx, source, params, now_ms)
-            if placed and self.checker:
-                self.checker.after_round(source, now_ms)
+            qrep.run_replication_round(net, self.ctx, source, params, now_ms)
 
     def _query_event(self, now_ms, origin, obj):
-        """Returns (issued, success, hops)."""
+        """Returns (issued, success, hops); a down origin issues nothing."""
         cfg = self.config
         net = self.net
         if not net.up[origin]:
-            if cfg.count_down_origin_as_failure:
-                return True, False, 0
             return False, False, 0
         outcome, visited = run_query(net, self.ctx, origin, obj,
                                      cfg.walkers_k, cfg.ttl)
@@ -406,10 +408,7 @@ class Simulation:
                                                 win_succeeded, win_hops))
                     win_issued = win_succeeded = win_hops = 0
                 if cfg.churn_every_queries and issued_total % cfg.churn_every_queries == 0:
-                    before = int(self.net.up.sum())
                     apply_churn(self.net, cfg, self.rng_churn)
-                    if self.checker:
-                        self.checker.check_churn(before, int(self.net.up.sum()), now)
             if self.checker:
                 # every node at the event that closed a window, and at the last
                 closed = issued and win_issued == 0

@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qrepsim.cli import main
 from qrepsim.qrep import (QRepParams, compute_reward, init_q_value,
@@ -135,6 +136,7 @@ def test_criterion_2_selection_oracle():
 
 # -- criterion 3: invariants over a full churned run ----------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_invariant_suite():
     cfg = SimConfig(seed=77)       # 1000 nodes, 100k scheduled queries, churn
     sim = Simulation(cfg, check_invariants=True)
@@ -149,6 +151,7 @@ def test_criterion_3_invariant_suite():
 
 # -- criterion 4: availability growth --------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_availability_trend():
     topo = TopologyConfig(storage_min=120.0, storage_max=200.0)   # ample
     params = QRepParams(delta=200.0)                              # p_th = 5
@@ -181,6 +184,7 @@ def _final_success(cfg, params=_TREND_PARAMS):
     return Simulation(cfg, params, TopologyConfig()).run()[-1].success_rate
 
 
+@pytest.mark.slow
 def test_criterion_5_queries_finished_vs_ttl():
     seeds = (101, 102, 103, 104, 105)
     points_ok = 0
@@ -198,6 +202,7 @@ def test_criterion_5_queries_finished_vs_ttl():
             f"({points_ok}/7 points, diffs {' '.join(details)})")
 
 
+@pytest.mark.slow
 def test_criterion_6_churn_resilience():
     seeds = (201, 202, 203, 204, 205)
     base = replace(_TREND_BASE, ttl=6)

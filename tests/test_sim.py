@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrepsim import qrep
 from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError
 from qrepsim.model import Network, place_initial_objects
@@ -283,7 +284,7 @@ def test_network_must_match_the_config(nodes, objects):
         Simulation(cfg, network=net)
 
 
-# The three tests below write the arrays directly, past the store, so the
+# The tests below write the arrays directly, past the store, so the
 # incremental check cannot see the fault: it surfaces at a full check.
 
 def test_checker_reports_small_storage_drift():
@@ -327,10 +328,56 @@ def test_checker_reports_nan_popularity_and_q():
                      check_invariants=True)
     sim.net.pf[0, 0] = np.nan
     sim.checker.after_event(1, full=True)
+    sim.net.pf[0, 0] = 0.0
     sim.net.q_tables[3][7] = np.nan
-    sim.checker.after_round(3, 2)
+    sim.checker.after_event(2, full=True)
     assert sim.checker.violations == ["t=1: negative or NaN popularity",
                                       "t=2: negative or NaN q for peer 7 at node 3"]
+
+
+@pytest.mark.parametrize("position, bad_q", [(0, np.nan), (-1, np.nan), (-1, -0.5)],
+                         ids=["nan-first", "nan-last", "negative"])
+def test_checker_reports_q_of_node_that_never_placed(monkeypatch, position, bad_q):
+    # a NaN at either end of a table and a negative value all report
+    placed, round_ = set(), qrep.run_replication_round
+
+    def run_replication_round(net, ctx, source, params, now_ms):
+        n = round_(net, ctx, source, params, now_ms)
+        if n:
+            placed.add(source)
+        return n
+
+    monkeypatch.setattr(qrep, "run_replication_round", run_replication_round)
+    cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                    metrics_window_queries=500, seed=21)
+    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3), check_invariants=True)
+    sim.run()
+    assert placed and sim.checker.violations == []
+    node = min(v for v, table in enumerate(sim.net.q_tables) if table and v not in placed)
+    peer = list(sim.net.q_tables[node])[position]
+    sim.net.q_tables[node][peer] = bad_q
+    sim.checker.after_event(10**9)
+    assert sim.checker.violations == []
+    sim.checker.after_event(10**9 + 1, full=True)
+    assert sim.checker.violations == [
+        f"t={10**9 + 1}: negative or NaN q for peer {peer} at node {node}"]
+
+
+def test_checker_reports_up_count_change():
+    cfg = SimConfig(node_count=40, queries_per_node=10, object_count=5, seed=4,
+                    churn_every_queries=60, metrics_window_queries=100)
+    sim = Simulation(cfg, check_invariants=True)
+    n_up = int(sim.net.up.sum())
+    sim.net.up[np.flatnonzero(sim.net.up)[0]] = False
+    sim.checker.after_event(0)
+    assert sim.checker.violations == []
+    sim.checker.after_event(1, full=True)
+    assert sim.checker.violations == [f"t=1: up count changed {n_up} -> {n_up - 1}"]
+    # churn keeps the count, so every full check of the run reports it again
+    checks = record_checks(sim.checker)
+    sim.run()
+    assert sim.checker.violations[1:] == [f"t={t}: up count changed {n_up} -> {n_up - 1}"
+                                          for t, full in checks if full]
 
 
 _MARKING_CASES = {              # case -> (SimConfig fields, TopologyConfig fields)
@@ -471,14 +518,27 @@ def test_popularity_refresh_triggered_by_traffic():
     assert net.pf[held].max() > 0
 
 
-def test_count_down_origin_as_failure_flag():
-    base = dict(node_count=60, queries_per_node=30, object_count=4,
-                churn_every_queries=300, metrics_window_queries=300, seed=13,
-                strategy="none")
-    issued_off = sum(r.queries_issued for r in run_checked(SimConfig(**base)))
-    issued_on = sum(r.queries_issued
-                    for r in run_checked(SimConfig(**base, count_down_origin_as_failure=True)))
-    assert issued_on >= issued_off
+def test_down_origin_issues_nothing():
+    cfg = SimConfig(node_count=60, queries_per_node=30, object_count=4,
+                    churn_every_queries=300, metrics_window_queries=300, seed=13,
+                    strategy="none")
+    sim = Simulation(cfg, check_invariants=True)
+    net, query, down = sim.net, sim._query_event, []
+
+    def query_event(now_ms, origin, obj):
+        if net.up[origin]:
+            return query(now_ms, origin, obj)
+        counters = list(net.n_q), [dict(r) for r in net.rq]
+        assert query(now_ms, origin, obj) == (False, False, 0)
+        assert (list(net.n_q), [dict(r) for r in net.rq]) == counters and not net.touched
+        down.append(now_ms)
+        return False, False, 0
+
+    sim._query_event = query_event
+    scheduled = cfg.queries_per_node * int(net.up.sum())
+    rows = sim.run()
+    assert down and sim.checker.violations == []
+    assert sum(r.queries_issued for r in rows) == scheduled - len(down)
 
 
 # sha256 of the metrics CSV for each strategy; any change to the walk stream,
