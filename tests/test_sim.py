@@ -338,7 +338,6 @@ def test_checker_reports_nan_popularity_and_q():
 @pytest.mark.parametrize("position, bad_q", [(0, np.nan), (-1, np.nan), (-1, -0.5)],
                          ids=["nan-first", "nan-last", "negative"])
 def test_checker_reports_q_of_node_that_never_placed(monkeypatch, position, bad_q):
-    # a NaN at either end of a table and a negative value all report
     placed, round_ = set(), qrep.run_replication_round
 
     def run_replication_round(net, ctx, source, params, now_ms):
