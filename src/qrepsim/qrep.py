@@ -6,6 +6,12 @@ to replicate refreshes its Q-table, selects target sites above the mean
 Q-value, transfers, then applies the learning update from the returned
 reinforcement signals. A peer that already holds the object is never a
 candidate, and its Q-value is left as it is.
+
+A source's copy is marked `replicated` in two places: by
+`replicate_object` once a placement lands, and by `run_replication_round`
+when selection probes nobody because every peer at or above the mean is up
+and holds the object. Either way later scans skip the copy, unless
+`rereplicate_on_threshold` is set, which never reads the mark.
 """
 
 import math
@@ -201,7 +207,8 @@ def replicate_object(net, source, object_key, targets, now_ms):
     cannot make space are skipped likewise. A successful store charges
     storage and reports (degree, bandwidth, available storage) measured
     after the store. The source's copy is flagged replicated once at least
-    one placement lands."""
+    one placement lands; `run_replication_round` flags it when selection
+    probed nobody."""
     size = net.obj_size[object_key]
     signals = []
     for target in targets:
@@ -273,7 +280,13 @@ def run_replication_round(net, ctx, source, params, now_ms):
 
     Returns the number of replicas placed. A table that is still empty
     after the sweep (nobody answered, nobody known) ends the round: tables
-    never shrink, so no later object could find a target either."""
+    never shrink, so no later object could find a target either.
+
+    An object whose selection probes nobody (every peer at or above the
+    mean is up and holds it) gets no transfer and no update, both of which
+    would do nothing, and the source's copy is marked `replicated` so that
+    later scans stop re-selecting it. `replicate_object` marks it when a
+    placement lands."""
     selected = scan_for_replication(net, source, params)
     if not selected:
         return 0
@@ -282,6 +295,9 @@ def run_replication_round(net, ctx, source, params, now_ms):
     placed = 0
     for obj in selected:
         targets, probes = select_target_sites(net, source, obj, params, now_ms)
+        if not probes:
+            net.replicated[obj, source] = True
+            continue
         signals = replicate_object(net, source, obj, targets, now_ms)
         apply_round_updates(net, source, probes, signals, params)
         placed += len(signals)

@@ -207,12 +207,11 @@ def apply_churn(net, config, rng):
     n_flip = int(np.ceil(config.churn_flip_fraction * len(down)))
     n_flip = min(n_flip, len(up))
     if n_flip == 0:
-        return 0
+        return
     to_up = rng.choice(down, size=n_flip, replace=False)
     to_down = rng.choice(up, size=n_flip, replace=False)
     net.up[to_up] = True
     net.up[to_down] = False
-    return n_flip
 
 
 class InvariantChecker:

@@ -517,6 +517,26 @@ def test_full_round_spreads_popular_object():
     assert net.holds[0].sum() == 1 + placed
 
 
+@pytest.mark.parametrize("rereplicate", [False, True])
+def test_round_marks_copy_whose_above_mean_peers_all_hold_it(rereplicate):
+    net = star_network(leaves=4, n_objects=1)
+    net.store_object(0, 0, 0, original=True)
+    net.pf[0, 0] = 9.0                             # above threshold
+    for peer in (1, 2):
+        net.store_object(peer, 0, 0)
+    # every leaf is known, so the sweep adds nobody; mean 200, holders above
+    net.q_tables[0] = {1: 300.0, 2: 300.0, 3: 100.0, 4: 100.0}
+    table = dict(net.q_tables[0])
+    holds = net.holds.copy()
+    params = QRepParams(hello_ttl=1, hello_walkers=4,
+                        rereplicate_on_threshold=rereplicate)
+    assert run_replication_round(net, make_ctx(net), 0, params, now_ms=1_000) == 0
+    assert net.replicated[0, 0]
+    assert net.q_tables[0] == table
+    assert np.array_equal(net.holds, holds)
+    assert scan_for_replication(net, 0, params) == ([0] if rereplicate else [])
+
+
 def test_round_without_peers_or_popularity():
     net = star_network(leaves=2, up=[True, False, False])
     net.store_object(0, 0, 0, original=True)

@@ -137,23 +137,22 @@ def test_schedule_pinned(popularity):
 def test_churn_flips_equal_counts():
     net = ring_network(1000)
     net.up[:200] = False                          # 200 down, 800 up
-    flipped = apply_churn(net, SimConfig(), np.random.default_rng(0))
-    assert flipped == 100
+    apply_churn(net, SimConfig(), np.random.default_rng(0))
+    assert int(net.up[:200].sum()) == 100         # half the down set came up
     assert int(net.up.sum()) == 800
 
 
 def test_churn_no_down_nodes():
     net = ring_network(10)
-    assert apply_churn(net, SimConfig(), np.random.default_rng(0)) == 0
+    apply_churn(net, SimConfig(), np.random.default_rng(0))
     assert net.up.all()
 
 
 def test_churn_single_down_node():
     net = ring_network(10)
     net.up[3] = False
-    flipped = apply_churn(net, SimConfig(), np.random.default_rng(1))
-    assert flipped == 1                           # ceil(0.5 * 1)
-    assert net.up[3]
+    apply_churn(net, SimConfig(), np.random.default_rng(1))
+    assert net.up[3]                              # ceil(0.5 * 1) came up
     assert int(net.up.sum()) == 9
 
 
@@ -543,13 +542,13 @@ def test_down_origin_issues_nothing():
 # sha256 of the metrics CSV for each strategy; any change to the walk stream,
 # the counters or a placement rule moves these
 PINNED_CSV_SHA256 = {
-    "qrep": "72e2aee6c62e08afcb88d66c65533b008319213871d5c84b99447f1f64a268be",
+    "qrep": "1067a8a46c804873e3b1d7656466bde97b8300b6597f8e2ba2ad27d04c90086e",
     "path": "5a815a24c34c2aff47fde55c681f79d863c705e4c5a6a90e0c9e64e397806085",
     "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
     "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
     "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
     # every up node scans (p_th = 0), and scans that evict (storage 2-4)
-    "qrep-p_th0": "18b1e0328459e1687fe2e4ae4f137da4cb94189db8a3e5095554757d6410993f",
+    "qrep-p_th0": "9298da1a1ffd421152e1cf1147a9edb8efd5326d57f3ba663dfc82373a737642",
     "qrep-pressure": "62fdd06c4512d59c656007aafa5442b73e68efdc0bb45579147d18fd42366f73",
 }
 PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fields)
