@@ -1,8 +1,9 @@
 """Reference replication strategies: none, owner, path, random.
 
-All of them react to a successful query and share the engine's eviction
-policy, so comparative runs isolate the placement rule itself. A failed
-query's outcome has an empty path, so each of them places nothing for it.
+All of them share the engine's eviction policy, so comparative runs
+isolate the placement rule itself. The simulator calls them only after a
+remote hit: the outcome's path runs from the requester to a provider at
+least one hop away. A failed query or a hit at the origin places nothing.
 """
 
 from .qrep import evict_for_space
@@ -28,8 +29,6 @@ def place_replica(net, node, obj, now_ms):
 
 def owner_replicate(net, outcome, obj, now_ms):
     """Copy the found object to the requesting node only."""
-    if not outcome.path:
-        return []
     origin = outcome.path[0]
     return [origin] if place_replica(net, origin, obj, now_ms) else []
 
@@ -39,8 +38,6 @@ def path_replicate(net, outcome, obj, now_ms):
 
     Works provider-side first; nodes already holding the object (including a
     repeat visit in the path) and nodes that cannot make space are skipped."""
-    if len(outcome.path) < 2:
-        return []
     placed = []
     for node in reversed(outcome.path[:-1]):
         if place_replica(net, node, obj, now_ms):
@@ -55,8 +52,6 @@ def random_replicate(net, outcome, obj, visited, rng, now_ms):
     Holders and nodes that cannot make space are skipped; when the pool runs
     short, fewer replicas are placed."""
     requested = len(outcome.path) - 1
-    if requested <= 0:
-        return []
     pool = [int(v) for v in visited if not net.holds[obj, v]]
     placed = []
     for idx in rng.permutation(len(pool)):

@@ -132,11 +132,15 @@ plot "{csv}" using 1:4 with linespoints title "success rate", \\
 """
 
 
-def _final_rows(csv_path):
+def _final_value(csv_path, column):
+    """The last window's value in the column named `column`."""
     lines = Path(csv_path).read_text().strip().splitlines()
     if len(lines) < 2:
         raise CompareError(f"{csv_path} has no data rows")
-    return lines[-1].split(",")
+    header = lines[0].split(",")
+    if column not in header:
+        raise CompareError(f"{csv_path} has no {column} column")
+    return float(lines[-1].split(",")[header.index(column)])
 
 
 def compare_runs(run_dirs, report_path):
@@ -183,8 +187,8 @@ def compare_runs(run_dirs, report_path):
                 raise CompareError(f"{csv_path} repeats strategy {strategy}, ttl {ttl}, "
                                    f"seed {seed} of {sources[key]}")
             sources[key] = csv_path
-            final = _final_rows(csv_path)
-            groups.setdefault((strategy, ttl), []).append(float(final[3]))
+            rate = _final_value(csv_path, "success_rate")
+            groups.setdefault((strategy, ttl), []).append(rate)
 
     stats = []
     for (strategy, ttl), rates in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):

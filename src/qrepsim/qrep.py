@@ -7,11 +7,11 @@ Q-value, transfers, then applies the learning update from the returned
 reinforcement signals. A peer that already holds the object is never a
 candidate, and its Q-value is left as it is.
 
-A source's copy is marked `replicated` in two places: by
-`replicate_object` once a placement lands, and by `run_replication_round`
-when selection probes nobody because every peer at or above the mean is up
-and holds the object. Either way later scans skip the copy, unless
-`rereplicate_on_threshold` is set, which never reads the mark.
+Only `run_replication_round` marks a source's copy `replicated`: once a
+placement of it lands, or when selection probes nobody because every peer
+at or above the mean is up and holds the object. Either way later scans
+skip the copy, unless `rereplicate_on_threshold` is set, which never reads
+the mark.
 """
 
 import math
@@ -206,9 +206,8 @@ def replicate_object(net, source, object_key, targets, now_ms):
     Targets that went down since selection contribute nothing; targets that
     cannot make space are skipped likewise. A successful store charges
     storage and reports (degree, bandwidth, available storage) measured
-    after the store. The source's copy is flagged replicated once at least
-    one placement lands; `run_replication_round` flags it when selection
-    probed nobody."""
+    after the store. `source` is unread; perfbench reads `targets` by
+    position."""
     size = net.obj_size[object_key]
     signals = []
     for target in targets:
@@ -225,8 +224,6 @@ def replicate_object(net, source, object_key, targets, now_ms):
             bandwidth=float(net.bandwidth[target]),
             storage_available=float(net.free[target]),
         ))
-    if signals:
-        net.replicated[object_key, source] = True
     return signals
 
 
@@ -282,11 +279,10 @@ def run_replication_round(net, ctx, source, params, now_ms):
     after the sweep (nobody answered, nobody known) ends the round: tables
     never shrink, so no later object could find a target either.
 
-    An object whose selection probes nobody (every peer at or above the
-    mean is up and holds it) gets no transfer and no update, both of which
-    would do nothing, and the source's copy is marked `replicated` so that
-    later scans stop re-selecting it. `replicate_object` marks it when a
-    placement lands."""
+    The source's copy is marked `replicated` once a placement lands, and
+    also when its selection probes nobody (every peer at or above the mean
+    is up and holds it); such an object gets no transfer and no update,
+    both of which would do nothing."""
     selected = scan_for_replication(net, source, params)
     if not selected:
         return 0
@@ -295,10 +291,11 @@ def run_replication_round(net, ctx, source, params, now_ms):
     placed = 0
     for obj in selected:
         targets, probes = select_target_sites(net, source, obj, params, now_ms)
-        if not probes:
+        signals = []
+        if probes:
+            signals = replicate_object(net, source, obj, targets, now_ms)
+            apply_round_updates(net, source, probes, signals, params)
+            placed += len(signals)
+        if signals or not probes:
             net.replicated[obj, source] = True
-            continue
-        signals = replicate_object(net, source, obj, targets, now_ms)
-        apply_round_updates(net, source, probes, signals, params)
-        placed += len(signals)
     return placed

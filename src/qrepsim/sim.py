@@ -174,8 +174,10 @@ def schedule_workload(config, net, rng):
     kind, theta = config.popularity_profile()
     m, q = config.object_count, config.queries_per_node
     if kind == "zipf":
+        # the draw rng.choice(m, size=q, p=probs) makes, with its CDF built once
         weights = 1.0 / np.arange(1, m + 1, dtype=np.float64) ** theta
-        probs = weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
     mean_ms = config.mean_query_interval_s * 1000.0
     nodes = np.flatnonzero(net.up)
     offsets = np.empty((len(nodes), 1), dtype=np.int64)
@@ -187,7 +189,7 @@ def schedule_workload(config, net, rng):
         if kind == "uniform":
             targets[i] = rng.integers(0, m, size=q)
         else:
-            targets[i] = rng.choice(m, size=q, p=probs)
+            targets[i] = cdf.searchsorted(rng.random(q), side="right")
     # strict increase survives ms rounding: t[i] >= t[i-1] + 1
     steps = np.arange(q)
     times = np.round(gaps * 1000.0).astype(np.int64).cumsum(axis=1)
@@ -328,16 +330,13 @@ class Simulation:
     def _scan_event(self, now_ms):
         """One replication round per up source with work, in id order.
 
-        With p_th > 0 a source has work when `qrep.wants_copies` marks one
-        of its copies as the scan starts. No source can gain work during the
-        scan: a fresh store has popularity 0, and popularity and `up` change
-        only in query events. A source can still lose its work to an
-        eviction, so each round rescans its own column."""
+        At every p_th a source is an up node that holds a copy
+        `qrep.wants_copies` marks as the scan starts; a node whose first such
+        copy arrives during the scan waits for the next one. Each round
+        rescans its source's column, which an eviction may have emptied, or
+        at p_th = 0 a fresh store (popularity 0) added to."""
         net, params = self.net, self.params
-        if params.p_th > 0:
-            sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
-        else:
-            sources = np.nonzero(net.up)[0]
+        sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
         for source in sources.tolist():
             qrep.run_replication_round(net, self.ctx, source, params, now_ms)
 
@@ -351,7 +350,7 @@ class Simulation:
                                      cfg.walkers_k, cfg.ttl)
         record_visits(net, visited, obj)
         refresh_due(net, visited, self.params)
-        if outcome.success:
+        if outcome.hops_used:              # a remote hit: a copy can go elsewhere
             if cfg.strategy == "owner":
                 baselines.owner_replicate(net, outcome, obj, now_ms)
             elif cfg.strategy == "path":

@@ -286,6 +286,25 @@ def test_compare_two_strategies(tmp_path):
     assert report_path.read_text() == report
 
 
+def test_compare_reads_columns_by_header_name(tmp_path):
+    dirs = _make_runs(tmp_path)
+    report = compare_runs(dirs, tmp_path / "r.csv")
+    csvs = sorted(tmp_path.glob("run_*/metrics_seed*.csv"))
+    for csv_path in csvs:                          # an extra trailing column
+        lines = csv_path.read_text().splitlines()
+        rows = [lines[0] + ",extra"] + [line + ",7" for line in lines[1:]]
+        csv_path.write_text("\n".join(rows) + "\n")
+    assert compare_runs(dirs, tmp_path / "r.csv") == report
+    for csv_path in csvs:                          # success_rate moved last
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        csv_path.write_text("".join(",".join(r[:3] + r[4:] + r[3:4]) + "\n" for r in rows))
+    assert compare_runs(dirs, tmp_path / "r.csv") == report
+    csv_path = csvs[0]
+    csv_path.write_text(csv_path.read_text().replace("success_rate", "rate"))
+    with pytest.raises(CompareError, match="no success_rate column"):
+        compare_runs(dirs, tmp_path / "r.csv")
+
+
 def test_compare_requires_two_dirs(tmp_path):
     (d,) = _make_runs(tmp_path, strategies=("qrep",))
     with pytest.raises(CompareError):

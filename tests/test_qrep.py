@@ -392,11 +392,11 @@ def test_oversized_object_keeps_evictable_replicas():
     assert evict_for_space(net, 1, needed=8.0) == []
     assert not place_replica(net, 1, 2, now_ms=3)
     net.q_tables[0] = {1: 300.0}
-    targets, probes = select_target_sites(net, 0, 2, P, now_ms=4)
+    targets, _ = select_target_sites(net, 0, 2, P, now_ms=4)
     assert targets == [1]
-    signals = replicate_object(net, 0, 2, targets, now_ms=4)
-    apply_round_updates(net, 0, probes, signals, P)
-    assert signals == [] and not net.replicated[2, 0]
+    net.pf[2, 0] = 9.0                             # above p_th, wants copies
+    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=4) == 0
+    assert not net.replicated[2, 0]
     assert net.q_tables[0] == {1: 300.0}
     assert net.holds[:, 1].tolist() == held == [True, True, False]
     assert net.free[1] == 3.0
@@ -418,7 +418,7 @@ def test_replicate_two_targets_two_signals():
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     signals = replicate_object(net, 0, 0, targets, now_ms=5)
     assert len(signals) == 2
-    assert net.replicated[0, 0]
+    assert not net.replicated.any()                # only the round marks a copy
     for sig in signals:
         assert net.holds[0, sig.from_peer]
         assert sig.storage_available == 4.0      # measured after the store
@@ -429,46 +429,44 @@ def test_replicate_two_targets_two_signals():
     assert net.q_tables[0][2] == pytest.approx(expected)
 
 
-def test_replicate_skips_full_target_keeps_reservation():
-    # The name is kept from when a selected target was held by a reservation;
-    # what remains to check is that a target full of originals is skipped and
-    # keeps what it stores.
+def test_round_skips_target_full_of_originals():
     net = _net_with_table([300.0], n_objects=2)
     net.capacity[1] = 1.0
     net.free[1] = 1.0
     net.store_object(1, 0, 0, original=True)      # full with an original
+    net.store_object(0, 1, 0, original=True)
+    net.pf[1, 0] = 9.0                             # above p_th, wants copies
     table = dict(net.q_tables[0])
-    targets, probes = select_target_sites(net, 0, 1, P, now_ms=0)
+    targets, _ = select_target_sites(net, 0, 1, P, now_ms=0)
     assert targets == [1]
-    signals = replicate_object(net, 0, 1, targets, now_ms=5)
-    assert signals == [] and not net.replicated[1, 0]
+    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=5) == 0
+    assert not net.replicated[1, 0]                # retried at the next scan
     assert net.holds[:, 1].tolist() == [True, False]
     assert net.free[1] == 0.0
-    apply_round_updates(net, 0, probes, signals, P)
     assert net.q_tables[0] == table
 
 
-def test_reservation_exclusivity_between_sources():
-    # The name is kept from when the first source's reservation kept a second
-    # source away; without reservations both select the full peer, and the
-    # peer still receives nothing from either.
+def test_full_peer_selected_by_two_sources_receives_nothing():
+    # both sources select the same peer, full of an original, at two scans:
+    # neither places, learns or marks its copy
     net = build_network({0: [1], 1: [2], 2: [], 3: [1]}, n_objects=2, capacity=5.0)
     net.capacity[1] = 1.0
     net.free[1] = 1.0
     net.store_object(1, 1, 0, original=True)      # peer 1 full with an original
     for source in (0, 3):
         net.store_object(source, 0, 0, original=True)
+        net.pf[0, source] = 9.0                    # above p_th, wants copies
     net.q_tables[0] = {1: 120.0}
     net.q_tables[3] = {1: 500.0}
     tables = [dict(t) for t in net.q_tables]
-    delta_ms = int(P.delta * 1000)
+    params = QRepParams(hello_ttl=1)               # sweeps reach peer 1 only
+    ctx = make_ctx(net)
+    delta_ms = int(params.delta * 1000)
     for now_ms in (delta_ms, 2 * delta_ms):       # two scans, both sources in turn
         for source in (0, 3):
-            targets, probes = select_target_sites(net, source, 0, P, now_ms)
+            targets, probes = select_target_sites(net, source, 0, params, now_ms)
             assert targets == [1] and probes == [(1, "selected")]
-            signals = replicate_object(net, source, 0, targets, now_ms)
-            assert signals == []
-            apply_round_updates(net, source, probes, signals, P)
+            assert run_replication_round(net, ctx, source, params, now_ms) == 0
     assert net.holds[:, 1].tolist() == [False, True]
     assert net.free[1] == 0.0
     assert [dict(t) for t in net.q_tables] == tables

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrepsim import qrep
+from qrepsim import baselines, qrep
+from qrepsim import sim as sim_module
 from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError
 from qrepsim.model import Network, place_initial_objects
@@ -13,7 +14,7 @@ from qrepsim.qrep import QRepParams, evict_for_space, record_visits
 from qrepsim.sim import (InvariantChecker, SimConfig, Simulation, TopologyConfig,
                          apply_churn, collect_metrics, schedule_workload)
 
-from helpers import build_network, star_network, stored_size
+from helpers import build_network, line_network, star_network, stored_size
 
 
 def ring_network(n, **kwargs):
@@ -494,6 +495,52 @@ def test_scan_skips_replicated_source_unless_rereplicating(rereplicate):
     assert (net.holds[0].sum() > 1) == rereplicate
 
 
+def test_p_th0_copy_stored_during_a_scan_waits_for_the_next():
+    # node 1 holds nothing as the first scan starts, so it is no source of
+    # that scan, though node 0's round gives it a copy that p_th = 0 wants
+    net = line_network(3)
+    net.store_object(0, 0, 0, original=True)
+    cfg = SimConfig(node_count=3, queries_per_node=1, object_count=1, seed=3)
+    params = QRepParams(p_th=0.0, hello_ttl=1, hello_walkers=2)
+    sim = Simulation(cfg, params, network=net, check_invariants=True)
+    sim._scan_event(1_000)
+    assert net.holds[0].tolist() == [True, True, False]
+    assert net.replicated[0].tolist() == [True, False, False]
+    sim._scan_event(2_000)
+    assert net.holds[0].tolist() == [True, True, True]
+    assert net.replicated[0].tolist() == [True, True, False]
+    sim.checker.after_event(2_000, full=True)
+    assert sim.checker.violations == []
+
+
+@pytest.mark.parametrize("strategy", ["none", "owner", "path", "random", "qrep"])
+def test_origin_hit_calls_no_placement(monkeypatch, strategy):
+    hops, calls = [], []
+    query = sim_module.run_query
+
+    def run_query(*args):
+        outcome, visited = query(*args)
+        hops.append(outcome.hops_used if outcome.success else None)
+        return outcome, visited
+
+    def spy(fn):
+        def place(net, outcome, *args):
+            calls.append(outcome.hops_used)
+            return fn(net, outcome, *args)
+        return place
+
+    monkeypatch.setattr(sim_module, "run_query", run_query)
+    for name in ("owner_replicate", "path_replicate", "random_replicate"):
+        monkeypatch.setattr(baselines, name, spy(getattr(baselines, name)))
+    cfg = SimConfig(node_count=40, queries_per_node=20, object_count=4,
+                    initial_up_fraction=1.0, churn_every_queries=0, strategy=strategy,
+                    requester_copy=True, metrics_window_queries=400, seed=5)
+    run_checked(cfg, QRepParams(delta=1e7))       # qrep: requester copies only
+    remote = [h for h in hops if h]
+    assert hops.count(0) > 0 and remote           # both kinds of hit happen
+    assert calls == ([] if strategy == "none" else remote)   # one per remote hit
+
+
 def test_requester_copy_flag():
     cfg = SimConfig(node_count=40, queries_per_node=40, object_count=2,
                     initial_up_fraction=1.0, churn_every_queries=0,
@@ -547,8 +594,9 @@ PINNED_CSV_SHA256 = {
     "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
     "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
     "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
-    # every up node scans (p_th = 0), and scans that evict (storage 2-4)
-    "qrep-p_th0": "9298da1a1ffd421152e1cf1147a9edb8efd5326d57f3ba663dfc82373a737642",
+    # every up node that holds an unmarked copy scans (p_th = 0), and scans
+    # that evict (storage 2-4)
+    "qrep-p_th0": "b5fe27329dfd345937091244f270e4050316400c31cef3d70a36be469081fac2",
     "qrep-pressure": "62fdd06c4512d59c656007aafa5442b73e68efdc0bb45579147d18fd42366f73",
 }
 PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fields)
