@@ -6,7 +6,7 @@ from .errors import (CompareError, ConfigurationError, PlacementError,
                      QRepSimError)
 from .model import (Network, Overlay, generate_topology, place_initial_objects,
                     sample_node_attributes)
-from .qrep import QRepParams, ReinforcementSignal
+from .qrep import QRepParams
 from .search import QueryOutcome, WalkContext
 from .sim import MetricsRow, SimConfig, Simulation, TopologyConfig
 
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompareError", "ConfigurationError", "MetricsRow",
     "Network", "Overlay", "PlacementError", "QRepParams", "QRepSimError",
-    "QueryOutcome", "ReinforcementSignal", "SimConfig", "Simulation",
-    "TopologyConfig", "WalkContext",
+    "QueryOutcome", "SimConfig", "Simulation", "TopologyConfig", "WalkContext",
     "generate_topology", "place_initial_objects", "sample_node_attributes",
 ]

@@ -3,9 +3,12 @@ selection, transfer with eviction, rewards, and Q-value updates.
 
 Replication rounds are atomic within one scan event: a source with objects
 to replicate refreshes its Q-table, selects target sites above the mean
-Q-value, transfers, then applies the learning update from the returned
-reinforcement signals. A peer that already holds the object is never a
-candidate, and its Q-value is left as it is.
+Q-value, transfers, then learns from the targets that stored the copy,
+reading their degree, bandwidth and free storage from the network. Nothing
+writes to a target between its store and that update: the targets of one
+transfer are distinct and an eviction touches only the node it makes room on.
+A peer that already holds the object is never a candidate, and its Q-value
+is left as it is.
 
 Only `run_replication_round` marks a source's copy `replicated`: once a
 placement of it lands, or when selection probes nobody because every peer
@@ -65,15 +68,6 @@ class QRepParams:
             raise ConfigurationError("update_every, hello_ttl and hello_walkers must be >= 1")
 
 
-@dataclass(frozen=True)
-class ReinforcementSignal:
-    """Attributes a target reports after storing a replica."""
-    from_peer: int
-    degree: int
-    bandwidth: float
-    storage_available: float
-
-
 # -- popularity ------------------------------------------------------------
 
 def record_visits(net, visited, obj):
@@ -126,10 +120,11 @@ def wants_copies(net, params, nodes=slice(None)):
     return mask
 
 
-def scan_for_replication(net, node, params):
+def scan_for_replication(net, node, params, now_ms):
     """Objects the node should replicate now: most popular first (ties by
-    object id)."""
-    objs = np.nonzero(wants_copies(net, params, node))[0]
+    object id). A copy stored at `now_ms` or later waits for the next scan."""
+    objs = np.nonzero(wants_copies(net, params, node)
+                      & (net.inserted_at[:, node] < now_ms))[0]
     return objs[np.lexsort((objs, -net.pf[objs, node]))].tolist()
 
 
@@ -143,13 +138,14 @@ def init_q_value(bandwidth, storage_available, params):
 def build_q_table(net, ctx, node, params):
     """Hello-sweep the neighborhood and merge responders into the Q-table.
 
-    New peers enter with the initial Q-value; peers already known keep their
-    learned value. Known peers that missed this sweep are retained."""
+    New peers enter with the initial Q-value of their current bandwidth and
+    free storage; peers already known keep their learned value. Known peers
+    that missed this sweep are retained."""
     table = net.q_tables[node]
-    for peer, bw, savbl in hello_sweep(net, ctx, node, params.hello_walkers,
-                                       params.hello_ttl):
+    for peer in hello_sweep(net, ctx, node, params.hello_walkers, params.hello_ttl):
         if peer not in table:
-            table[peer] = init_q_value(bw, savbl, params)
+            table[peer] = init_q_value(net.bandwidth.item(peer), net.free.item(peer),
+                                       params)
     return table
 
 
@@ -201,15 +197,14 @@ def evict_for_space(net, node, needed):
 
 
 def replicate_object(net, source, object_key, targets, now_ms):
-    """Transfer the object to each selected target; collect their signals.
+    """Transfer the object to each selected target; returns the targets that
+    stored it, in order.
 
-    Targets that went down since selection contribute nothing; targets that
-    cannot make space are skipped likewise. A successful store charges
-    storage and reports (degree, bandwidth, available storage) measured
-    after the store. `source` is unread; perfbench reads `targets` by
+    Targets that went down since selection, and targets that cannot make
+    space, are skipped. `source` is unread; perfbench reads `targets` by
     position."""
     size = net.obj_size[object_key]
-    signals = []
+    stored = []
     for target in targets:
         if not net.up[target]:
             continue
@@ -218,13 +213,8 @@ def replicate_object(net, source, object_key, targets, now_ms):
             if net.free[target] < size:
                 continue
         net.store_object(target, object_key, now_ms)
-        signals.append(ReinforcementSignal(
-            from_peer=target,
-            degree=int(net.degree[target]),
-            bandwidth=float(net.bandwidth[target]),
-            storage_available=float(net.free[target]),
-        ))
-    return signals
+        stored.append(target)
+    return stored
 
 
 # -- learning ----------------------------------------------------------------
@@ -254,48 +244,42 @@ def update_q_down(q, alpha):
     return q * (1.0 - alpha)
 
 
-def apply_round_updates(net, source, probes, signals, params):
+def apply_round_updates(net, source, probes, stored, params):
     """Apply learning results of one round to the source's Q-table.
 
-    Placed peers learn from their reward and down peers are punished.
-    Everyone else keeps its value: selected peers that stored nothing,
-    holders of the object (never probed) and peers below the mean."""
+    Peers in `stored` learn from the reward of their degree, bandwidth and
+    free storage after the store, and down peers are punished. Everyone else
+    keeps its value: selected peers that stored nothing, holders of the
+    object (never probed) and peers below the mean."""
     table = net.q_tables[source]
-    placed = {sig.from_peer: sig for sig in signals}
     for peer, status in probes:
         if status == "down":
             table[peer] = update_q_down(table[peer], params.alpha)
-        elif peer in placed:
-            sig = placed[peer]
-            rho = compute_reward(sig.degree, sig.bandwidth,
-                                 sig.storage_available, params)
+        elif peer in stored:
+            rho = compute_reward(net.degree.item(peer), net.bandwidth.item(peer),
+                                 net.free.item(peer), params)
             table[peer] = update_q_placed(table[peer], rho, params.alpha)
 
 
 def run_replication_round(net, ctx, source, params, now_ms):
     """Full round for one node: scan, refresh the table, replicate.
 
-    Returns the number of replicas placed. A table that is still empty
-    after the sweep (nobody answered, nobody known) ends the round: tables
-    never shrink, so no later object could find a target either.
+    A table that is still empty after the sweep (nobody answered, nobody
+    known) ends the round: tables never shrink, so no later object could
+    find a target either.
 
     The source's copy is marked `replicated` once a placement lands, and
     also when its selection probes nobody (every peer at or above the mean
     is up and holds it); such an object gets no transfer and no update,
     both of which would do nothing."""
-    selected = scan_for_replication(net, source, params)
-    if not selected:
-        return 0
-    if not build_q_table(net, ctx, source, params):
-        return 0
-    placed = 0
+    selected = scan_for_replication(net, source, params, now_ms)
+    if not selected or not build_q_table(net, ctx, source, params):
+        return
     for obj in selected:
         targets, probes = select_target_sites(net, source, obj, params, now_ms)
-        signals = []
+        stored = []
         if probes:
-            signals = replicate_object(net, source, obj, targets, now_ms)
-            apply_round_updates(net, source, probes, signals, params)
-            placed += len(signals)
-        if signals or not probes:
+            stored = replicate_object(net, source, obj, targets, now_ms)
+            apply_round_updates(net, source, probes, stored, params)
+        if stored or not probes:
             net.replicated[obj, source] = True
-    return placed

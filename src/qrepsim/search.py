@@ -105,6 +105,7 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
     pick out, which lands walkers on distinct neighbors. Later, a walker
     keeps the onward options of the edge it arrived by, and filters them
     against the used edges only when `used` shares an edge id with them.
+    The walk ends early once every walker has halted.
 
     Returns (paths, winner, visited): each walker's node sequence, the
     index of the winning walker or -1, and the distinct nodes visited in
@@ -142,6 +143,8 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
             ctx.state = state
             return paths, w, visited
     for _ in range(ttl - 1):
+        if not live:                # every walker halted
+            break
         moved = []
         for w in live:
             options, ids = at[w]
@@ -176,11 +179,7 @@ def run_query(net, ctx, origin, key, k, ttl):
 
 
 def hello_sweep(net, ctx, origin, k, ttl):
-    """Discover peers within ttl hops via k walkers.
-
-    Every distinct up node visited responds once with its current
-    (bandwidth, available storage); the origin is excluded. Response order
-    is first-visit order, which is deterministic for a fixed stream state.
-    """
-    visited = walk(net, ctx, origin, k, ttl)[2]
-    return [(v, float(net.bandwidth[v]), float(net.free[v])) for v in visited[1:]]
+    """Discover peers within ttl hops via k walkers: the distinct up nodes
+    visited, origin excluded, in first-visit order, which is deterministic
+    for a fixed stream state."""
+    return walk(net, ctx, origin, k, ttl)[2][1:]

@@ -330,11 +330,10 @@ class Simulation:
     def _scan_event(self, now_ms):
         """One replication round per up source with work, in id order.
 
-        At every p_th a source is an up node that holds a copy
-        `qrep.wants_copies` marks as the scan starts; a node whose first such
-        copy arrives during the scan waits for the next one. Each round
-        rescans its source's column, which an eviction may have emptied, or
-        at p_th = 0 a fresh store (popularity 0) added to."""
+        A source is an up node that holds a copy `qrep.wants_copies` marks
+        as the scan starts. Each round rescans its source's column, which an
+        eviction may have emptied, for copies stored before the scan: a copy
+        stored during it (wanted at p_th = 0) waits for the next scan."""
         net, params = self.net, self.params
         sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
         for source in sources.tolist():

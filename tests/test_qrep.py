@@ -187,9 +187,20 @@ def test_scan_threshold_boundary_and_status():
     net.pf[1, 0] = 4.999
     net.pf[2, 0] = 9.0
     net.replicated[2, 0] = True
-    assert scan_for_replication(net, 0, P) == [0]
+    assert scan_for_replication(net, 0, P, now_ms=1) == [0]
     allow = QRepParams(rereplicate_on_threshold=True)
-    assert scan_for_replication(net, 0, allow) == [2, 0]   # by popularity
+    assert scan_for_replication(net, 0, allow, now_ms=1) == [2, 0]   # by popularity
+
+
+def test_scan_skips_copies_stored_at_or_after_now():
+    # p_th = 0: a copy stored during this scan (popularity 0) waits for the next
+    net = build_network({0: []}, n_objects=3, capacity=5.0)
+    net.store_object(0, 0, now_ms=10)
+    net.store_object(0, 1, now_ms=60_000)
+    net.store_object(0, 2, now_ms=70_000)
+    params = QRepParams(p_th=0.0)
+    assert scan_for_replication(net, 0, params, now_ms=60_000) == [0]
+    assert scan_for_replication(net, 0, params, now_ms=120_000) == [0, 1, 2]
 
 
 # -- Q-value initialization and table -------------------------------------------
@@ -247,8 +258,8 @@ def test_select_excludes_holders_and_down():
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     assert targets == [1]
     assert dict(probes) == {1: "selected", 3: "down"}   # the holder is not probed
-    signals = replicate_object(net, 0, 0, targets, now_ms=5)
-    apply_round_updates(net, 0, probes, signals, P)
+    stored = replicate_object(net, 0, 0, targets, now_ms=5)
+    apply_round_updates(net, 0, probes, stored, P)
     assert net.q_tables[0][2] == 300.0            # the holder keeps its value
     assert net.q_tables[0][3] == update_q_down(300.0, P.alpha)
     assert net.q_tables[0][1] != 300.0            # the placed peer learned
@@ -274,7 +285,7 @@ def test_round_with_empty_table_places_nothing():
     net.store_object(0, 0, 0, original=True)
     net.pf[0, 0] = 9.0                            # above p_th, wants copies
     before = (net.holds.copy(), net.free.copy(), net.replicated.copy())
-    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=1_000) == 0
+    run_replication_round(net, make_ctx(net), 0, P, now_ms=1_000)
     assert net.q_tables[0] == {}
     after = (net.holds, net.free, net.replicated)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -395,7 +406,7 @@ def test_oversized_object_keeps_evictable_replicas():
     targets, _ = select_target_sites(net, 0, 2, P, now_ms=4)
     assert targets == [1]
     net.pf[2, 0] = 9.0                             # above p_th, wants copies
-    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=4) == 0
+    run_replication_round(net, make_ctx(net), 0, P, now_ms=4)
     assert not net.replicated[2, 0]
     assert net.q_tables[0] == {1: 300.0}
     assert net.holds[:, 1].tolist() == held == [True, True, False]
@@ -412,17 +423,16 @@ def test_evict_accounting_balances():
 
 # -- transfer ------------------------------------------------------------------------
 
-def test_replicate_two_targets_two_signals():
+def test_replicate_two_targets_two_stores():
     net = _net_with_table([300.0, 300.0])
     net.store_object(0, 0, 0, original=True)
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
-    signals = replicate_object(net, 0, 0, targets, now_ms=5)
-    assert len(signals) == 2
+    stored = replicate_object(net, 0, 0, targets, now_ms=5)
+    assert sorted(stored) == [1, 2]
     assert not net.replicated.any()                # only the round marks a copy
-    for sig in signals:
-        assert net.holds[0, sig.from_peer]
-        assert sig.storage_available == 4.0      # measured after the store
-    apply_round_updates(net, 0, probes, signals, P)
+    assert net.holds[0, stored].all()
+    apply_round_updates(net, 0, probes, stored, P)
+    # the reward reads free storage after the store: 5 - 1
     expected = update_q_placed(300.0, compute_reward(net.degree[1], 100.0, 4.0, P),
                                P.alpha)
     assert net.q_tables[0][1] == pytest.approx(expected)
@@ -439,7 +449,7 @@ def test_round_skips_target_full_of_originals():
     table = dict(net.q_tables[0])
     targets, _ = select_target_sites(net, 0, 1, P, now_ms=0)
     assert targets == [1]
-    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=5) == 0
+    run_replication_round(net, make_ctx(net), 0, P, now_ms=5)
     assert not net.replicated[1, 0]                # retried at the next scan
     assert net.holds[:, 1].tolist() == [True, False]
     assert net.free[1] == 0.0
@@ -466,7 +476,7 @@ def test_full_peer_selected_by_two_sources_receives_nothing():
         for source in (0, 3):
             targets, probes = select_target_sites(net, source, 0, params, now_ms)
             assert targets == [1] and probes == [(1, "selected")]
-            assert run_replication_round(net, ctx, source, params, now_ms) == 0
+            run_replication_round(net, ctx, source, params, now_ms)
     assert net.holds[:, 1].tolist() == [False, True]
     assert net.free[1] == 0.0
     assert [dict(t) for t in net.q_tables] == tables
@@ -479,19 +489,18 @@ def test_replicate_evicts_to_make_room():
     net.free[1] = 1.0
     net.store_object(1, 1, now_ms=1)              # an old replica fills it
     targets, _ = select_target_sites(net, 0, 0, P, now_ms=10)
-    signals = replicate_object(net, 0, 0, targets, now_ms=10)
-    assert len(signals) == 1
+    assert replicate_object(net, 0, 0, targets, now_ms=10) == [1]
     assert net.holds[0, 1] and not net.holds[1, 1]
 
 
-def test_replicate_down_target_no_signal():
+def test_replicate_down_target_no_store():
     net = _net_with_table([300.0])
     targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
     net.up[1] = False                              # goes down before transfer
-    signals = replicate_object(net, 0, 0, targets, now_ms=1)
-    assert signals == []
+    stored = replicate_object(net, 0, 0, targets, now_ms=1)
+    assert stored == [] and not net.holds[0, 1]
     table_before = dict(net.q_tables[0])
-    apply_round_updates(net, 0, probes, signals, P)
+    apply_round_updates(net, 0, probes, stored, P)
     assert net.q_tables[0] == table_before         # skipped target not updated
 
 
@@ -509,10 +518,12 @@ def test_full_round_spreads_popular_object():
     net.store_object(0, 0, 0, original=True)
     net.pf[0, 0] = 9.0                             # above threshold
     params = QRepParams(hello_ttl=1, hello_walkers=4)
-    placed = run_replication_round(net, make_ctx(net), 0, params, now_ms=1_000)
-    assert placed >= 1
+    run_replication_round(net, make_ctx(net), 0, params, now_ms=1_000)
+    placed = np.flatnonzero(net.holds[0])[1:].tolist()
+    assert placed
     assert net.replicated[0, 0]
-    assert net.holds[0].sum() == 1 + placed
+    assert (net.inserted_at[0, placed] == 1_000).all()
+    assert not net.original[0, placed].any()
 
 
 @pytest.mark.parametrize("rereplicate", [False, True])
@@ -528,18 +539,20 @@ def test_round_marks_copy_whose_above_mean_peers_all_hold_it(rereplicate):
     holds = net.holds.copy()
     params = QRepParams(hello_ttl=1, hello_walkers=4,
                         rereplicate_on_threshold=rereplicate)
-    assert run_replication_round(net, make_ctx(net), 0, params, now_ms=1_000) == 0
+    run_replication_round(net, make_ctx(net), 0, params, now_ms=1_000)
     assert net.replicated[0, 0]
     assert net.q_tables[0] == table
     assert np.array_equal(net.holds, holds)
-    assert scan_for_replication(net, 0, params) == ([0] if rereplicate else [])
+    assert scan_for_replication(net, 0, params, 2_000) == ([0] if rereplicate else [])
 
 
 def test_round_without_peers_or_popularity():
     net = star_network(leaves=2, up=[True, False, False])
     net.store_object(0, 0, 0, original=True)
     net.pf[0, 0] = 9.0
-    assert run_replication_round(net, make_ctx(net), 0, P, now_ms=0) == 0
+    run_replication_round(net, make_ctx(net), 0, P, now_ms=1_000)
+    assert net.holds[0].tolist() == [True, False, False]
     net2 = star_network(leaves=2)
     net2.store_object(0, 0, 0, original=True)
-    assert run_replication_round(net2, make_ctx(net2), 0, P, now_ms=0) == 0
+    run_replication_round(net2, make_ctx(net2), 0, P, now_ms=1_000)
+    assert net2.holds[0].tolist() == [True, False, False]

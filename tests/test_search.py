@@ -1,9 +1,11 @@
 import hashlib
 import random
+import time
 
 import numpy as np
 
 from qrepsim.model import generate_topology, Network, Overlay
+from qrepsim.qrep import QRepParams, build_q_table, init_q_value
 from qrepsim.search import WalkContext, hello_sweep, run_query, walk
 
 from helpers import build_network, line_network, make_ctx, star_network
@@ -42,17 +44,17 @@ def test_context_follows_up_changes_between_walks():
     net = star_network(leaves=4)
     net.store_object(2, 0, 0)
     ctx = make_ctx(net)
-    assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 3, 4]
+    assert sorted(hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 3, 4]
     net.up[2] = False
     for _ in range(5):
-        assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 3, 4]
+        assert sorted(hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 3, 4]
         out, visited = run_query(net, ctx, 0, 0, k=4, ttl=1)
         assert not out.success and 2 not in visited
         assert all(2 not in path for path in walker_paths(net, ctx, 0, k=4, ttl=3))
     net.up[2] = True
     net.up[3] = False
     for _ in range(5):
-        assert sorted(r[0] for r in hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 4]
+        assert sorted(hello_sweep(net, ctx, 0, k=4, ttl=1)) == [1, 2, 4]
         out = run_query(net, ctx, 0, 0, k=4, ttl=1)[0]
         assert out.success and out.path == (0, 2)
 
@@ -88,11 +90,18 @@ def test_walker_without_eligible_neighbor_halts():
     # launch, and a walker on a leaf cannot go back, so all of them halt
     net = build_network({0: [1, 2], 1: [], 2: []})
     for seed in range(10):
-        responses = hello_sweep(net, make_ctx(net, seed=seed), 0, k=3, ttl=5)
-        assert sorted(r[0] for r in responses) == [1, 2]
+        assert sorted(hello_sweep(net, make_ctx(net, seed=seed), 0, k=3, ttl=5)) == [1, 2]
         paths = walker_paths(net, make_ctx(net, seed=seed), 0, k=3, ttl=5)
         assert sorted(p[1] for p in paths[:2]) == [1, 2]
         assert [len(p) for p in paths] == [2, 2, 1]
+
+
+def test_walk_ends_when_every_walker_halted():
+    # both walkers halt within two steps; ttl has no upper bound
+    net = line_network(3)
+    start = time.perf_counter()
+    assert walk(net, make_ctx(net), 0, 2, 10**7) == ([[0, 1, 2], [0]], -1, [0, 1, 2])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_walker_never_returns_to_sender():
@@ -135,9 +144,14 @@ def test_launch_uses_distinct_neighbors():
 
 def test_hello_star_one_response_per_leaf():
     net = star_network(leaves=5, bandwidth=56.0, capacity=7.0)
+    net.store_object(5, 0, 0)
     responses = hello_sweep(net, make_ctx(net), origin=0, k=5, ttl=1)
-    assert sorted(r[0] for r in responses) == [1, 2, 3, 4, 5]
-    assert all(r[1] == 56.0 and r[2] == 7.0 for r in responses)
+    assert sorted(responses) == [1, 2, 3, 4, 5]
+    # a new responder enters the Q-table with its current bandwidth and free storage
+    params = QRepParams(hello_ttl=1, hello_walkers=5)
+    table = build_q_table(net, make_ctx(net), 0, params)
+    assert table == {p: init_q_value(56.0, 7.0, params) for p in range(1, 5)} | {
+        5: init_q_value(56.0, 6.0, params)}
 
 
 def test_hello_all_neighbors_down_empty():
@@ -149,8 +163,7 @@ def test_hello_dedupes_across_walkers():
     # diamond: both walkers can reach node 3, it must respond once
     net = build_network({0: [1, 2], 1: [3], 2: [3], 3: []})
     for seed in range(10):
-        responses = hello_sweep(net, make_ctx(net, seed=seed), 0, k=2, ttl=2)
-        peers = [r[0] for r in responses]
+        peers = hello_sweep(net, make_ctx(net, seed=seed), 0, k=2, ttl=2)
         assert len(peers) == len(set(peers))
         assert 0 not in peers
 

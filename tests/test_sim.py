@@ -338,15 +338,15 @@ def test_checker_reports_nan_popularity_and_q():
 @pytest.mark.parametrize("position, bad_q", [(0, np.nan), (-1, np.nan), (-1, -0.5)],
                          ids=["nan-first", "nan-last", "negative"])
 def test_checker_reports_q_of_node_that_never_placed(monkeypatch, position, bad_q):
-    placed, round_ = set(), qrep.run_replication_round
+    placed, replicate = set(), qrep.replicate_object
 
-    def run_replication_round(net, ctx, source, params, now_ms):
-        n = round_(net, ctx, source, params, now_ms)
-        if n:
+    def replicate_object(net, source, object_key, targets, now_ms):
+        stored = replicate(net, source, object_key, targets, now_ms)
+        if stored:
             placed.add(source)
-        return n
+        return stored
 
-    monkeypatch.setattr(qrep, "run_replication_round", run_replication_round)
+    monkeypatch.setattr(qrep, "replicate_object", replicate_object)
     cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
                     metrics_window_queries=500, seed=21)
     sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3), check_invariants=True)
@@ -513,6 +513,25 @@ def test_p_th0_copy_stored_during_a_scan_waits_for_the_next():
     assert sim.checker.violations == []
 
 
+def test_p_th0_copy_stored_at_a_source_of_the_scan_waits_for_the_next():
+    # node 1 is a source of the first scan (it holds object 1) and gets a copy
+    # of object 0 from node 0's round before its own round: that copy waits
+    net = line_network(3, n_objects=2)
+    net.store_object(0, 0, 0, original=True)
+    net.store_object(1, 1, 0, original=True)
+    cfg = SimConfig(node_count=3, queries_per_node=1, object_count=2, seed=3)
+    params = QRepParams(p_th=0.0, hello_ttl=1, hello_walkers=2)
+    sim = Simulation(cfg, params, network=net, check_invariants=True)
+    sim._scan_event(1_000)
+    assert net.holds.tolist() == [[True, True, False], [False, True, True]]
+    assert net.replicated.tolist() == [[True, False, False], [False, True, False]]
+    sim._scan_event(2_000)
+    assert net.holds[0].tolist() == [True, True, True]
+    assert net.inserted_at[0, 2] == 2_000
+    sim.checker.after_event(2_000, full=True)
+    assert sim.checker.violations == []
+
+
 @pytest.mark.parametrize("strategy", ["none", "owner", "path", "random", "qrep"])
 def test_origin_hit_calls_no_placement(monkeypatch, strategy):
     hops, calls = [], []
@@ -594,9 +613,9 @@ PINNED_CSV_SHA256 = {
     "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
     "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
     "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
-    # every up node that holds an unmarked copy scans (p_th = 0), and scans
-    # that evict (storage 2-4)
-    "qrep-p_th0": "b5fe27329dfd345937091244f270e4050316400c31cef3d70a36be469081fac2",
+    # every copy older than the scan is wanted (p_th = 0), and scans that
+    # evict (storage 2-4)
+    "qrep-p_th0": "6d9709fe486e31da3fb56affda9d304e189733edee5415e7a54d72e491455af4",
     "qrep-pressure": "62fdd06c4512d59c656007aafa5442b73e68efdc0bb45579147d18fd42366f73",
 }
 PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fields)
@@ -607,13 +626,15 @@ PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fie
 
 @pytest.mark.parametrize("case", sorted(PINNED_CSV_SHA256))
 def test_metrics_csv_pinned(tmp_path, case):
+    # the checker only observes: a run without it writes the same CSV
     params, topology = PINNED_OVERRIDES.get(case, ({}, {}))
     cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
                     metrics_window_queries=500, seed=21, requester_copy=True,
                     strategy=case.split("-")[0])
-    sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3, **params),
-                     TopologyConfig(**topology), check_invariants=True)
-    rows = sim.run()
-    path = emit_csv(rows, tmp_path / "m.csv")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[case]
-    assert sim.checker.events_checked > 0 and sim.checker.violations == []
+    for checked in (True, False):
+        sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3, **params),
+                         TopologyConfig(**topology), check_invariants=checked)
+        path = emit_csv(sim.run(), tmp_path / f"m-{checked}.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[case]
+        if checked:
+            assert sim.checker.events_checked > 0 and sim.checker.violations == []
