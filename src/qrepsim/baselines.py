@@ -14,9 +14,10 @@ STRATEGIES = ("none", "owner", "path", "random", "qrep")
 def place_replica(net, node, obj, now_ms):
     """Store a replica at `node` if possible, evicting to make room.
 
-    Returns True on placement; False when the node is down, already holds
-    the object, or cannot free enough space."""
-    if not net.up[node] or net.holds[obj, node]:
+    `node` is up: a query's origin or a node its walk visited. Returns True
+    on placement; False when the node already holds the object (a path can
+    visit a node twice) or cannot free enough space."""
+    if net.holds[obj, node]:
         return False
     size = net.obj_size[obj]
     if net.free[node] < size:

@@ -51,7 +51,8 @@ def _field_types(cls):
 def parse_config(path, overrides=None):
     """Read an INI config and apply CLI overrides.
 
-    Returns (SimConfig, QRepParams, TopologyConfig), each fully validated.
+    Returns (SimConfig, QRepParams, TopologyConfig); building each checks its
+    values and raises ConfigurationError on a bad one.
     An empty file yields the documented defaults.
     """
     parser = configparser.ConfigParser()
@@ -86,9 +87,6 @@ def parse_config(path, overrides=None):
     sim_cfg = SimConfig(**values["sim"])
     qrep_cfg = QRepParams(**values["qrep"])
     topo_cfg = TopologyConfig(**values["topology"])
-    sim_cfg.validate()
-    qrep_cfg.validate()
-    topo_cfg.validate()
     return sim_cfg, qrep_cfg, topo_cfg
 
 

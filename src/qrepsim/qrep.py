@@ -28,6 +28,8 @@ from .search import hello_sweep
 
 @dataclass(frozen=True)
 class QRepParams:
+    """Q-replication constants, checked when built (by `replace` too)."""
+
     eta: float = 0.5               # popularity learning constant, in (0,1)
     alpha: float = 0.5             # Q learning rate, in (0,1)
     w1: float = 0.4                # degree weight
@@ -44,7 +46,7 @@ class QRepParams:
     reward_floor: bool = False     # floor each reward term before summing
     rereplicate_on_threshold: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ConfigurationError(f"eta must be in (0,1), got {self.eta}")
         if not 0 < self.alpha < 1:
@@ -96,12 +98,9 @@ def update_popularities(net, node, params):
     """Refresh the popularity of each copy requested in the node's window.
 
     popularity += eta * (object requests / node requests) * 100, then the
-    window counters reset. Unrequested copies would add 0 and are skipped;
-    with no requests in the window nothing changes.
+    window counters reset. Unrequested copies would add 0 and are skipped.
     """
     nq = net.n_q[node]
-    if nq == 0:
-        return
     counts, pf = net.rq[node], net.pf
     if counts:
         for obj, r in counts.items():
@@ -176,10 +175,11 @@ def evict_for_space(net, node, needed):
     """Free at least `needed` units by dropping replicas, never originals.
 
     Victims go in ascending popularity, ties oldest insertion first, then
-    lowest object id. Returns the dropped object ids. When `needed` exceeds
-    the node's capacity, or evicting every replica would not make room, it
-    drops nothing and returns []; the caller sees `free < needed` still."""
-    if needed > net.capacity[node] or net.free[node] >= needed:
+    lowest object id. Returns the dropped object ids. Callers call it only
+    when the node is short of space. When `needed` exceeds the node's
+    capacity, or evicting every replica would not make room, it drops
+    nothing and returns []; the caller sees `free < needed` still."""
+    if needed > net.capacity[node]:
         return []
     col = net.holds[:, node] & ~net.original[:, node]
     evictable = np.nonzero(col)[0]
@@ -200,14 +200,12 @@ def replicate_object(net, source, object_key, targets, now_ms):
     """Transfer the object to each selected target; returns the targets that
     stored it, in order.
 
-    Targets that went down since selection, and targets that cannot make
-    space, are skipped. `source` is unread; perfbench reads `targets` by
-    position."""
+    Targets come from `select_target_sites`, so they are up; those that
+    cannot make space are skipped. `source` is unread; perfbench reads
+    `targets` by position."""
     size = net.obj_size[object_key]
     stored = []
     for target in targets:
-        if not net.up[target]:
-            continue
         if net.free[target] < size:
             evict_for_space(net, target, size)
             if net.free[target] < size:

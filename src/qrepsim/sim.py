@@ -31,6 +31,8 @@ from .search import WalkContext, run_query
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Run parameters, checked when built (by `replace` too)."""
+
     node_count: int = 1000
     queries_per_node: int = 100
     mean_query_interval_s: float = 20.0
@@ -46,7 +48,7 @@ class SimConfig:
     metrics_window_queries: int = 5000
     requester_copy: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         positive = ("node_count", "queries_per_node", "ttl", "walkers_k",
                     "object_count", "metrics_window_queries")
         for name in positive:
@@ -88,6 +90,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TopologyConfig:
+    """Overlay and node-resource parameters, checked when built (by `replace` too)."""
+
     avg_degree: float = 4.0
     bandwidth_classes: str = "56:0.2,1000:0.8"
     storage_min: float = 20.0
@@ -95,7 +99,7 @@ class TopologyConfig:
     object_size: float = 1.0
     max_retries: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if not 2 <= self.avg_degree < math.inf:
             raise ConfigurationError(f"avg_degree must be finite and >= 2, got {self.avg_degree}")
         if not 0 < self.object_size < math.inf:
@@ -282,15 +286,11 @@ class InvariantChecker:
 
 
 class Simulation:
-    """One deterministic run of the configured strategy."""
+    """One deterministic run of the configured strategy, from configs that
+    were checked when built."""
 
-    def __init__(self, config, params=None, topology=None, *,
+    def __init__(self, config, params=QRepParams(), topology=TopologyConfig(), *,
                  network=None, check_invariants=False):
-        config.validate()
-        params = params if params is not None else QRepParams()
-        params.validate()
-        topology = topology if topology is not None else TopologyConfig()
-        topology.validate()
         self.config = config
         self.params = params
         self.topology = topology

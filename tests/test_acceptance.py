@@ -3,17 +3,20 @@
 Formula checks are exact to 1e-9 against independently coded oracles; the
 trend criteria run the calibrated desk-scale configurations (1000 nodes)
 with frozen seeds, so every verdict here is reproducible bit for bit.
+Criterion 9 states the paper's claim where the arms do not saturate; it
+fails as measured, so it is marked as an expected failure.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrepsim.cli import main
+from qrepsim.cli import main, parse_config
 from qrepsim.qrep import (QRepParams, compute_reward, init_q_value,
                           select_target_sites, update_popularities,
                           update_q_down, update_q_placed)
@@ -22,6 +25,7 @@ from qrepsim.sim import SimConfig, Simulation, TopologyConfig
 from helpers import build_network
 
 TOL = 1e-9
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(number, name, ok, detail=""):
@@ -258,3 +262,28 @@ def test_criterion_8_punishment_closed_form():
     ok &= worst <= TOL
     _report(8, "down punishment follows q0*(1-alpha)^k", ok,
             f"(dyadic exact, generic rel err {worst:.2e})")
+
+
+# -- criterion 9: learned placement where the arms do not saturate ----------------------
+
+T_95_DF9 = 2.262                               # two-sided 95% t quantile, df 9
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "measured: qrep - owner final-window success is -0.0196 [-0.0267, -0.0125] "
+    "over seeds 101-110, and qrep wins 0 of 10 seeds"))
+def test_criterion_9_learned_placement_beats_owner_at_point_c():
+    sim_cfg, params, topo = parse_config(CONFIGS / "pressure.ini")
+    diffs = []
+    for seed in range(101, 111):
+        qrep_arm, owner_arm = (
+            Simulation(replace(sim_cfg, strategy=s, seed=seed), params, topo)
+            .run()[-1].success_rate for s in ("qrep", "owner"))
+        diffs.append(qrep_arm - owner_arm)
+    mean = float(np.mean(diffs))
+    half = T_95_DF9 * float(np.std(diffs, ddof=1)) / len(diffs) ** 0.5
+    won = sum(d > 0 for d in diffs)
+    _report(9, "qrep beats owner at point C (paired, seeds 101-110)", mean - half > 0,
+            f"(qrep - owner {mean:+.4f} [{mean - half:+.4f}, {mean + half:+.4f}], "
+            f"{won}/10 seeds won)")

@@ -32,12 +32,6 @@ def test_owner_skips_when_nothing_evictable():
     assert owner_replicate(net, _success([0, 1]), 0, now_ms=5) == []
 
 
-def test_owner_noop_when_origin_down():
-    net = line_network(2)
-    net.up[0] = False
-    assert owner_replicate(net, _success([0, 1]), 0, now_ms=5) == []
-
-
 def test_path_covers_path_except_provider():
     net = line_network(3, capacity=3.0)
     net.store_object(2, 0, 0, original=True)
@@ -108,9 +102,7 @@ def test_random_never_exceeds_path_on_clean_outcomes():
         assert n_rand <= n_path == len(path) - 1
 
 
-def test_place_replica_refuses_duplicates_and_down():
+def test_place_replica_refuses_duplicates():
     net = line_network(2, capacity=2.0)
     assert place_replica(net, 0, 0, 1)
     assert not place_replica(net, 0, 0, 2)       # already holds
-    net.up[1] = False
-    assert not place_replica(net, 1, 0, 3)

@@ -10,7 +10,8 @@ from qrepsim.errors import CompareError, ConfigurationError
 from qrepsim.qrep import QRepParams
 from qrepsim.sim import MetricsRow, SimConfig, TopologyConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _row(**kwargs):
@@ -43,6 +44,14 @@ def test_empty_file_yields_defaults(tmp_path):
     assert sim_cfg.ttl == 6 and sim_cfg.walkers_k == 6
     assert qrep_cfg.p_th == 5.0 and qrep_cfg.update_every == 50
     assert topo_cfg.avg_degree == 4.0
+
+
+def test_pressure_config_is_point_c():
+    assert parse_config(ROOT / "configs" / "pressure.ini") == (
+        SimConfig(queries_per_node=60, object_count=500, query_popularity="zipf:0.8",
+                  ttl=3, metrics_window_queries=4000),
+        QRepParams(eta=0.9, delta=30, hello_ttl=4, hello_walkers=8),
+        TopologyConfig(storage_min=2, storage_max=5))
 
 
 def test_weight_invariants_rejected(tmp_path):

@@ -210,17 +210,17 @@ def test_attribute_sampling_deterministic():
 
 def test_nonpositive_support_rejected():
     with pytest.raises(ConfigurationError):
-        TopologyConfig(bandwidth_classes="0:0.5,10:0.5").validate()
+        TopologyConfig(bandwidth_classes="0:0.5,10:0.5")
     with pytest.raises(ConfigurationError):
-        TopologyConfig(bandwidth_classes="56:1", storage_min=0.0).validate()
+        TopologyConfig(bandwidth_classes="56:1", storage_min=0.0)
     with pytest.raises(ConfigurationError):
-        TopologyConfig(bandwidth_classes="56:0.7").validate()
+        TopologyConfig(bandwidth_classes="56:0.7")
 
 
 @pytest.mark.parametrize("classes", ["inf:1", "56:nan,1000:1"])
 def test_non_finite_bandwidth_classes_rejected(classes):
     with pytest.raises(ConfigurationError):
-        TopologyConfig(bandwidth_classes=classes).validate()
+        TopologyConfig(bandwidth_classes=classes)
 
 
 @pytest.mark.parametrize("bounds", [(2.5, 4.0), (2.0, 4.5)])
@@ -228,7 +228,7 @@ def test_fractional_storage_bounds_rejected(bounds):
     # capacities are whole units: a bound of 2.5 would silently become 2
     storage_min, storage_max = bounds
     with pytest.raises(ConfigurationError, match="whole units"):
-        TopologyConfig(storage_min=storage_min, storage_max=storage_max).validate()
+        TopologyConfig(storage_min=storage_min, storage_max=storage_max)
 
 
 # NaN fails no `x <= 0` test, so each bound must reject it (and inf) itself:
@@ -236,12 +236,12 @@ def test_fractional_storage_bounds_rejected(bounds):
 # complete graph, and object_size = nan would end in a PlacementError
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda v: QRepParams(b_min=v).validate(), id="b_min"),
-    pytest.param(lambda v: QRepParams(s_min=v).validate(), id="s_min"),
-    pytest.param(lambda v: QRepParams(d_min=v).validate(), id="d_min"),
-    pytest.param(lambda v: QRepParams(p_th=v).validate(), id="p_th"),
-    pytest.param(lambda v: TopologyConfig(avg_degree=v).validate(), id="avg_degree"),
-    pytest.param(lambda v: TopologyConfig(object_size=v).validate(), id="object_size"),
+    pytest.param(lambda v: QRepParams(b_min=v), id="b_min"),
+    pytest.param(lambda v: QRepParams(s_min=v), id="s_min"),
+    pytest.param(lambda v: QRepParams(d_min=v), id="d_min"),
+    pytest.param(lambda v: QRepParams(p_th=v), id="p_th"),
+    pytest.param(lambda v: TopologyConfig(avg_degree=v), id="avg_degree"),
+    pytest.param(lambda v: TopologyConfig(object_size=v), id="object_size"),
     pytest.param(lambda v: generate_topology(50, v, seed=0), id="generate_topology"),
 ])
 def test_non_finite_bounds_rejected(build, value):

@@ -20,7 +20,7 @@ P = QRepParams()
 # -- params validation --------------------------------------------------------
 
 def test_params_defaults_valid():
-    P.validate()
+    QRepParams()
 
 
 @pytest.mark.parametrize("bad", [
@@ -33,7 +33,7 @@ def test_params_defaults_valid():
 ])
 def test_params_invariants_rejected(bad):
     with pytest.raises(ConfigurationError):
-        QRepParams(**bad).validate()
+        QRepParams(**bad)
 
 
 # -- request counting and popularity -------------------------------------------
@@ -491,17 +491,6 @@ def test_replicate_evicts_to_make_room():
     targets, _ = select_target_sites(net, 0, 0, P, now_ms=10)
     assert replicate_object(net, 0, 0, targets, now_ms=10) == [1]
     assert net.holds[0, 1] and not net.holds[1, 1]
-
-
-def test_replicate_down_target_no_store():
-    net = _net_with_table([300.0])
-    targets, probes = select_target_sites(net, 0, 0, P, now_ms=0)
-    net.up[1] = False                              # goes down before transfer
-    stored = replicate_object(net, 0, 0, targets, now_ms=1)
-    assert stored == [] and not net.holds[0, 1]
-    table_before = dict(net.q_tables[0])
-    apply_round_updates(net, 0, probes, stored, P)
-    assert net.q_tables[0] == table_before         # skipped target not updated
 
 
 def test_round_updates_punish_down_leave_others():

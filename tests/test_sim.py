@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def record_checks(checker):
 # -- config validation ----------------------------------------------------------
 
 def test_config_defaults_valid():
-    SimConfig().validate()
+    SimConfig()
 
 
 @pytest.mark.parametrize("bad", [
@@ -68,11 +69,31 @@ def test_config_defaults_valid():
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ConfigurationError):
-        SimConfig(**bad).validate()
+        SimConfig(**bad)
 
 
 def test_zipf_profile_parses():
     assert SimConfig(query_popularity="zipf:0.8").popularity_profile() == ("zipf", 0.8)
+
+
+@pytest.mark.parametrize("config, bad", [
+    (SimConfig(), dict(ttl=0)),
+    (QRepParams(), dict(eta=1.0)),
+    (TopologyConfig(), dict(avg_degree=1.0)),
+], ids=["SimConfig", "QRepParams", "TopologyConfig"])
+def test_replace_rechecks_config(config, bad):
+    # `replace` builds a new object, so the checks run again
+    with pytest.raises(ConfigurationError):
+        replace(config, **bad)
+
+
+def test_simulation_defaults_params_and_topology():
+    cfg = SimConfig(node_count=60, queries_per_node=5, object_count=5,
+                    metrics_window_queries=100, seed=9)
+    sim = Simulation(cfg)
+    assert sim.params == QRepParams() and sim.topology == TopologyConfig()
+    rows = sim.run()
+    assert rows and rows == Simulation(cfg, QRepParams(), TopologyConfig()).run()
 
 
 # -- workload ---------------------------------------------------------------------
