@@ -22,25 +22,9 @@ from .qrep import QRepParams
 from .sim import SimConfig, Simulation, TopologyConfig
 
 _SECTIONS = {"sim": SimConfig, "qrep": QRepParams, "topology": TopologyConfig}
-
-
-def _coerce(name, raw, target_type):
-    raw = raw.strip()
-    try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigurationError(f"key {name!r}: cannot parse {raw!r} as {target_type.__name__}")
+# the ConfigParser getter per field type; a bool reads 1/0, true/false,
+# yes/no or on/off, in any case
+_GETTERS = {bool: "getboolean", int: "getint", float: "getfloat", str: "get"}
 
 
 def _field_types(cls):
@@ -55,7 +39,7 @@ def parse_config(path, overrides=None):
     values and raises ConfigurationError on a bad one.
     An empty file yields the documented defaults.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -74,7 +58,11 @@ def parse_config(path, overrides=None):
             if key not in types:
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{section}]; valid keys: {sorted(types)}")
-            values[section][key] = _coerce(f"{section}.{key}", raw, types[key])
+            try:
+                values[section][key] = getattr(parser, _GETTERS[types[key]])(section, key)
+            except ValueError:
+                raise ConfigurationError(f"key '{section}.{key}': cannot parse {raw!r} "
+                                         f"as {types[key].__name__}")
 
     for key, value in (overrides or {}).items():
         for section, cls in _SECTIONS.items():
@@ -142,7 +130,8 @@ def _final_value(csv_path, column):
 
 
 def compare_runs(run_dirs, report_path):
-    """Summarize final-window success per (strategy, ttl) across run dirs.
+    """Summarize final-window success per (strategy, ttl) across run dirs,
+    starring every strategy with the best mean per ttl (all of them on a tie).
 
     Directories must share every resolved config key except strategy, ttl
     and seed, and no (strategy, ttl, seed) may appear twice, as it would
@@ -192,12 +181,12 @@ def compare_runs(run_dirs, report_path):
     for (strategy, ttl), rates in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         std = statistics.stdev(rates) if len(rates) > 1 else 0.0
         stats.append((strategy, ttl, len(rates), statistics.fmean(rates), std))
-    winners = {}
-    for strategy, ttl, _runs, mean, _std in stats:
-        winners[ttl] = max(winners.get(ttl, (mean, strategy)), (mean, strategy))
+    best = {}
+    for _strategy, ttl, _runs, mean, _std in stats:
+        best[ttl] = max(best.get(ttl, mean), mean)
     lines = ["strategy,ttl,runs,final_success_mean,final_success_std,winner"]
     for strategy, ttl, runs, mean, std in stats:
-        mark = "*" if winners[ttl][1] == strategy else ""
+        mark = "*" if mean == best[ttl] else ""
         lines.append(f"{strategy},{ttl},{runs},{mean:.6f},{std:.6f},{mark}")
     report = "\n".join(lines) + "\n"
     Path(report_path).write_text(report, encoding="ascii")

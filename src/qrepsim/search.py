@@ -107,41 +107,38 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
     against the used edges only when `used` shares an edge id with them.
     The walk ends early once every walker has halted.
 
-    Returns (paths, winner, visited): each walker's node sequence, the
-    index of the winning walker or -1, and the distinct nodes visited in
-    first-visit order, origin first. A down origin sends nothing.
+    `origin` must be up. Returns (paths, winner, visited): the node
+    sequence of each walker that launched, the index of the winning walker
+    or -1, and the distinct nodes visited in first-visit order, origin
+    first. At most the origin's up-degree of walkers launch, however large
+    k is. A hit at the origin is walker 0's, with path [origin]; a walk
+    with ttl 0 returns no paths.
     """
     up = net.up.tobytes()
-    if not up[origin]:
-        return [], -1, []
-    paths = [[origin] for _ in range(k)]
     visited = [origin]
     held = bytes(len(up)) if holds_row is None else holds_row.tobytes()
     if held[origin]:
-        return paths, 0, visited
+        return [[origin]], 0, visited
     if ttl < 1:
-        return paths, -1, visited
+        return [], -1, visited
     adjacency, onward = ctx.up_adjacency(up)
     state = ctx.state
     seen = {origin}
     used = set()
-    at = [None] * k                 # each walker's onward options and their ids
+    paths, at = [], []              # per launched walker: path, onward options and ids
     launch = list(adjacency[origin])
-    live = []
-    for w in range(k):
-        if not launch:
-            break
+    for _ in range(min(k, len(launch))):
         state = MINSTD_A * state % MINSTD_M
         edge, nxt, j = launch.pop((state - 1) % len(launch))
         used.add(edge)
-        paths[w].append(nxt)
-        at[w] = onward[j]
-        live.append(w)
+        paths.append([origin, nxt])
+        at.append(onward[j])
         seen.add(nxt)
         visited.append(nxt)
         if held[nxt]:
             ctx.state = state
-            return paths, w, visited
+            return paths, len(paths) - 1, visited
+    live = range(len(paths))
     for _ in range(ttl - 1):
         if not live:                # every walker halted
             break

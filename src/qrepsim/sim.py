@@ -340,33 +340,35 @@ class Simulation:
             qrep.run_replication_round(net, self.ctx, source, params, now_ms)
 
     def _query_event(self, now_ms, origin, obj):
-        """Returns (issued, success, hops); a down origin issues nothing."""
+        """Issue one query and apply its effects; returns its QueryOutcome,
+        or None for a down origin, which issues nothing. No other layer
+        decides a down origin."""
         cfg = self.config
         net = self.net
         if not net.up[origin]:
-            return False, False, 0
+            return None
         outcome, visited = run_query(net, self.ctx, origin, obj,
                                      cfg.walkers_k, cfg.ttl)
         record_visits(net, visited, obj)
         refresh_due(net, visited, self.params)
         if outcome.hops_used:              # a remote hit: a copy can go elsewhere
-            if cfg.strategy == "owner":
+            if cfg.strategy == "owner" or (cfg.strategy == "qrep" and cfg.requester_copy):
                 baselines.owner_replicate(net, outcome, obj, now_ms)
             elif cfg.strategy == "path":
                 baselines.path_replicate(net, outcome, obj, now_ms)
             elif cfg.strategy == "random":
                 baselines.random_replicate(net, outcome, obj, visited,
                                            self.rng_pick, now_ms)
-            elif cfg.strategy == "qrep" and cfg.requester_copy:
-                baselines.owner_replicate(net, outcome, obj, now_ms)
-        return True, outcome.success, outcome.hops_used
+        return outcome
 
     # -- driver ---------------------------------------------------------------
 
     def run(self):
-        """Run the whole schedule; returns the metrics rows. `scans_run`
-        then holds the number of replication scans that ran: one at every
-        multiple of `delta` up to the last query time, for qrep only."""
+        """Run the whole schedule; returns the metrics rows. Each window
+        counts the outcomes `_query_event` returns: queries issued, hits,
+        and the hops of those hits. `scans_run` then holds the number of
+        replication scans that ran: one at every multiple of `delta` up to
+        the last query time, for qrep only."""
         cfg = self.config
         times, origins, targets = schedule_workload(cfg, self.net, self.rng_work)
 
@@ -392,14 +394,12 @@ class Simulation:
                     self.checker.after_event(next_scan)
                 self.scans_run += 1
                 next_scan += delta_ms
-            issued, success, hops = self._query_event(now, origins.item(i),
-                                                      targets.item(i))
-            if issued:
+            outcome = self._query_event(now, origins.item(i), targets.item(i))
+            if outcome is not None:
                 issued_total += 1
                 win_issued += 1
-                if success:
-                    win_succeeded += 1
-                    win_hops += hops
+                win_succeeded += outcome.success
+                win_hops += outcome.hops_used     # 0 on a miss
                 if win_issued == cfg.metrics_window_queries:
                     rows.append(collect_metrics(self.net, len(rows), win_issued,
                                                 win_succeeded, win_hops))
@@ -408,7 +408,7 @@ class Simulation:
                     apply_churn(self.net, cfg, self.rng_churn)
             if self.checker:
                 # every node at the event that closed a window, and at the last
-                closed = issued and win_issued == 0
+                closed = outcome is not None and win_issued == 0
                 self.checker.after_event(now, full=closed or i == last)
 
         if win_issued or not rows:

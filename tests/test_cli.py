@@ -1,4 +1,5 @@
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -90,8 +91,24 @@ def test_missing_file_is_config_error(tmp_path):
 def test_readme_config_documents_the_defaults(tmp_path):
     (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
     cfg = tmp_path / "readme.ini"
-    cfg.write_text("\n".join(line.split(";")[0] for line in block.splitlines()))
+    cfg.write_text(block)
     assert parse_config(cfg) == (SimConfig(), QRepParams(), TopologyConfig())
+
+
+def test_values_parse_by_field_type(tmp_path):
+    cfg = tmp_path / "typed.ini"
+    cfg.write_text("[sim]\nrequester_copy = YES   ; a comment\nttl = 3\n"
+                   "[qrep]\nreward_floor = off\neta = 0.25\n")
+    sim_cfg, qrep_cfg, _ = parse_config(cfg)
+    assert sim_cfg.requester_copy is True and sim_cfg.ttl == 3
+    assert qrep_cfg.reward_floor is False and qrep_cfg.eta == 0.25
+    for text, message in (("[sim]\nrequester_copy = maybe", "'sim.requester_copy': "
+                                                          "cannot parse 'maybe' as bool"),
+                          ("[sim]\nttl = 2.5", "'sim.ttl': cannot parse '2.5' as int"),
+                          ("[qrep]\neta = fast", "'qrep.eta': cannot parse 'fast' as float")):
+        cfg.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(cfg)
 
 
 def test_reservation_timeout_is_unknown(tmp_path):
@@ -293,6 +310,17 @@ def test_compare_two_strategies(tmp_path):
     assert len(lines) == 3                       # two groups for one ttl
     assert sum(line.endswith("*") for line in lines[1:]) == 1
     assert report_path.read_text() == report
+
+
+def test_compare_stars_every_arm_tied_for_the_best_mean(tmp_path):
+    (qrep,) = _make_runs(tmp_path, strategies=("qrep",))
+    path = tmp_path / "run_path"
+    shutil.copytree(qrep, path)                  # the same CSVs under another strategy
+    resolved = path / "config.resolved.ini"
+    resolved.write_text(resolved.read_text().replace("strategy = qrep", "strategy = path"))
+    rows = compare_runs([qrep, path], tmp_path / "r.csv").strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["path", "qrep"]
+    assert all(row.endswith(",*") for row in rows)
 
 
 def test_compare_reads_columns_by_header_name(tmp_path):

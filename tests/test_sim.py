@@ -614,10 +614,10 @@ def test_down_origin_issues_nothing():
         if net.up[origin]:
             return query(now_ms, origin, obj)
         counters = list(net.n_q), [dict(r) for r in net.rq]
-        assert query(now_ms, origin, obj) == (False, False, 0)
+        assert query(now_ms, origin, obj) is None
         assert (list(net.n_q), [dict(r) for r in net.rq]) == counters and not net.touched
         down.append(now_ms)
-        return False, False, 0
+        return None
 
     sim._query_event = query_event
     scheduled = cfg.queries_per_node * int(net.up.sum())
