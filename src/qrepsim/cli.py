@@ -39,7 +39,7 @@ def parse_config(path, overrides=None):
     values and raises ConfigurationError on a bad one.
     An empty file yields the documented defaults.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -150,7 +150,7 @@ def compare_runs(run_dirs, report_path):
         cfg_path = run_dir / "config.resolved.ini"
         if not cfg_path.is_file():
             raise CompareError(f"missing {cfg_path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.read(cfg_path)
         flat = {(s, k): v for s in parser.sections() for k, v in parser.items(s)}
         fixed = {key: v for key, v in flat.items() if key not in varying}

@@ -25,8 +25,8 @@ class Overlay:
     either direction and with repeats: every edge is stored both ways, rows
     sorted, repeats merged. `indices[indptr[u]:indptr[u+1]]` are u's
     neighbors in ascending order; `edge_rev[j]` is the index of the opposite
-    direction of edge j, needed by the walk memo (a message is never pushed
-    back to its sender).
+    direction of edge j, which gives the walk engine the edge back to a
+    walker's sender and the undirected id both directions share.
     """
 
     __slots__ = ("node_count", "indptr", "indices", "edge_rev")

@@ -5,8 +5,11 @@ front, a qrep run's replication scans fire at every multiple of `delta` up
 to the last query time (each before the queries at its time), timestamps
 are integer milliseconds, ties break by schedule sequence number, and
 every random stream is derived from the run seed (numpy PCG64 for setup,
-workload, churn and random placement; the MINSTD stream of
-:mod:`qrepsim.search` for the walks).
+workload, churn and random placement; the keyed draws of
+:mod:`qrepsim.search` for the walks). Query i of the schedule is walk
+message i, so its walk depends on nothing but the seed, its origin and
+`up`; the Hello sweeps of a scan, and of the initial table build, are
+computed at its start under message ids of their own.
 
 A query whose origin is down when its time comes is never issued.
 
@@ -336,6 +339,7 @@ class Simulation:
         stored during it (wanted at p_th = 0) waits for the next scan."""
         net, params = self.net, self.params
         sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
+        self.ctx.sweep(net, sources, params.hello_walkers, params.hello_ttl)
         for source in sources.tolist():
             qrep.run_replication_round(net, self.ctx, source, params, now_ms)
 
@@ -368,16 +372,20 @@ class Simulation:
         counts the outcomes `_query_event` returns: queries issued, hits,
         and the hops of those hits. `scans_run` then holds the number of
         replication scans that ran: one at every multiple of `delta` up to
-        the last query time, for qrep only."""
+        the last query time, for qrep only. The walk context gets the
+        schedule up front and the message id of each query as it comes."""
         cfg = self.config
         times, origins, targets = schedule_workload(cfg, self.net, self.rng_work)
+        self.ctx.plan(origins, targets)
 
         next_scan = math.inf
         if cfg.strategy == "qrep" and len(times):
             delta_ms = int(round(self.params.delta * 1000))
             next_scan = delta_ms
-            for v in np.nonzero(self.net.up)[0]:
-                qrep.build_q_table(self.net, self.ctx, int(v), self.params)
+            nodes = np.nonzero(self.net.up)[0]
+            self.ctx.sweep(self.net, nodes, self.params.hello_walkers, self.params.hello_ttl)
+            for v in nodes.tolist():
+                qrep.build_q_table(self.net, self.ctx, v, self.params)
 
         rows = []
         issued_total = 0
@@ -394,6 +402,7 @@ class Simulation:
                     self.checker.after_event(next_scan)
                 self.scans_run += 1
                 next_scan += delta_ms
+            self.ctx.message = i
             outcome = self._query_event(now, origins.item(i), targets.item(i))
             if outcome is not None:
                 issued_total += 1

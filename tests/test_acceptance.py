@@ -271,7 +271,7 @@ T_95_DF9 = 2.262                               # two-sided 95% t quantile, df 9
 
 @pytest.mark.slow
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "measured: qrep - owner final-window success is -0.0196 [-0.0267, -0.0125] "
+    "measured: qrep - owner final-window success is -0.0202 [-0.0253, -0.0151] "
     "over seeds 101-110, and qrep wins 0 of 10 seeds"))
 def test_criterion_9_learned_placement_beats_owner_at_point_c():
     sim_cfg, params, topo = parse_config(CONFIGS / "pressure.ini")

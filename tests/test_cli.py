@@ -264,6 +264,31 @@ def test_simulate_extreme_value_exits_2_before_writing(tmp_path, capsys, section
     _assert_exits_2_before_writing(tmp_path, capsys, section, line)
 
 
+def test_simulate_percent_in_value_is_a_configuration_error(tmp_path, capsys):
+    # values are read literally: a '%' reaches the field's own check, not
+    # configparser's interpolation
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY.replace("[sim]\n", "[sim]\nquery_popularity = zipf:50%\n"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'zipf:50%'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_reads_values_literally(tmp_path):
+    # a hand-edited resolved config with a '%' is compared, not a traceback
+    dirs = []
+    for strategy in ("qrep", "path"):
+        run = tmp_path / strategy
+        run.mkdir()
+        (run / "config.resolved.ini").write_text(
+            f"[sim]\nstrategy = {strategy}\nttl = 3\nseed = 1\nnote = 50%\n")
+        (run / "metrics_seed1.csv").write_text("window_index,success_rate\n0,0.5\n")
+        dirs.append(str(run))
+    assert main(["compare", "--runs", *dirs, "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_cli_override_flags(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY)

@@ -3,10 +3,12 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from qrepsim.model import generate_topology, Network, Overlay
 from qrepsim.qrep import QRepParams, build_q_table, init_q_value
-from qrepsim.search import WalkContext, hello_sweep, run_query, walk
+from qrepsim.search import (SWEEP, WalkContext, draws, hello_sweep, message_keys, run_query,
+                            walk)
 
 from helpers import build_network, line_network, make_ctx, star_network
 
@@ -16,16 +18,32 @@ def walker_paths(net, ctx, origin, k, ttl):
     return walk(net, ctx, origin, k, ttl)[0]
 
 
-def test_minstd_stream_matches_reference():
-    # one walker, one hop from the hub of a star: every walk draws once, and
-    # the draw picks leaf index (s' - 1) % n, s' being the next state
+def _mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def _draw(seed, msg, hop, walker):
+    """The keyed draw, in plain integer arithmetic."""
+    key = _mix(seed ^ _mix(msg))
+    return _mix((key + ((hop << 32) + walker + 1) * 0x9E3779B97F4A7C15) % 2**64)
+
+
+def test_keyed_draws_match_formula():
+    rng = random.Random(21)
+    for _ in range(200):
+        msg = rng.choice((rng.randrange(10**6), SWEEP | rng.randrange(2**40)))
+        seed, hop, walker = rng.randrange(2**32), rng.randrange(50), rng.randrange(10)
+        got = draws(message_keys(seed, [msg]), hop, walker + 1)
+        assert got.dtype == np.uint64 and int(got[walker, 0]) == _draw(seed, msg, hop, walker)
+    # one walker, one hop from the hub of a star: message m picks leaf
+    # draw % 7 in CSR order, whatever the messages around it drew
     net = star_network(leaves=7)
     ctx = make_ctx(net, seed=42)
-    reference = ctx.state
-    for _ in range(100):
-        reference = (48271 * reference) % 2147483647
-        assert walker_paths(net, ctx, 0, k=1, ttl=1) == [[0, 1 + (reference - 1) % 7]]
-        assert ctx.state == reference
+    for msg in range(100):
+        assert walker_paths(net, ctx, 0, k=1, ttl=1) == [[0, 1 + _draw(42, msg, 0, 0) % 7]]
+    assert ctx.message == 100
 
 
 def test_walk_draw_range_and_determinism():
@@ -36,7 +54,7 @@ def test_walk_draw_range_and_determinism():
         picks_b = [walker_paths(net, b, 0, k=1, ttl=1)[0][1] for _ in range(20)]
         assert picks_a == picks_b
         assert all(1 <= leaf <= leaves for leaf in picks_a)
-        assert a.state == b.state
+        assert a.message == b.message == 20
 
 
 def test_context_follows_up_changes_between_walks():
@@ -68,8 +86,8 @@ def test_local_hit():
 
 
 def test_line_graph_single_walk_is_forced():
-    # A-B-C with the object at C: the memo blocks B from sending back to A,
-    # so the only legal two-hop walk is A,B,C whatever the stream says
+    # A-B-C with the object at C: B cannot send back along the edge it was
+    # reached by, so the only legal two-hop walk is A,B,C whatever the draws
     for seed in range(20):
         net = line_network(3)
         net.store_object(2, 0, 0)
@@ -219,12 +237,12 @@ def test_no_repeated_directed_edge_per_message():
 
 
 def test_walk_outputs_pinned():
-    # every walk's (paths, winner, visited, stream state), hashed in order:
-    # two sparse ER overlays, where walkers meet used edges mostly at launch,
-    # and the complete graph K6, where almost every later step meets them.
-    # One context per overlay follows ten `up` flips; k runs past the
-    # origin's up-degree, ttl 0-7, holds row or none. A down origin's walk
-    # is skipped, as the driver skips it, after its inputs are drawn.
+    # every walk's (paths, winner, visited), hashed in order: two sparse ER
+    # overlays, where walkers meet used edges mostly at launch, and the
+    # complete graph K6, where almost every later step meets them. One
+    # context per overlay follows ten `up` flips; k runs past the origin's
+    # up-degree, ttl 0-7, holds row or none. A down origin's walk is
+    # skipped, as the driver skips it, after its inputs are drawn.
     overlays = [generate_topology(n, 4.0, seed=seed) for n, seed in ((60, 3), (200, 4))]
     overlays.append(Overlay.from_adjacency({u: [v for v in range(6) if v != u]
                                             for u in range(6)}))
@@ -244,6 +262,89 @@ def test_walk_outputs_pinned():
                 row = holds if draw.random() < 0.5 else None
                 if not net.up[origin]:
                     continue
-                paths, winner, visited = walk(net, ctx, origin, k, ttl, row)
-                digest.update(repr((paths, winner, visited, ctx.state)).encode())
-    assert digest.hexdigest() == "e003da03b736fae9633a3c755871385b820751727553d3029694ab33b7492387"
+                digest.update(repr(walk(net, ctx, origin, k, ttl, row)).encode())
+    assert digest.hexdigest() == "25dc13d73fac370f8e2f465658b10b583f5d49123d09c229956e1dac1776c3d0"
+
+
+def _overlays():
+    """Random graphs of several densities, and K6."""
+    graphs = [generate_topology(n, d, seed=s)
+              for n, d, s in ((30, 4.0, 1), (60, 4.0, 2), (40, 8.0, 3), (200, 3.0, 4))]
+    return graphs + [Overlay.from_adjacency({u: [v for v in range(6) if v != u]
+                                             for u in range(6)})]
+
+
+@pytest.mark.parametrize("overlay", _overlays(), ids=lambda ov: f"n{ov.node_count}")
+def test_walker_rules(overlay):
+    # slots go round-robin, no edge is crossed twice per message, a walker
+    # halts only with no option left, launches land on distinct neighbors,
+    # and a walk visits at most k * ttl + 1 peers
+    n = overlay.node_count
+    rng = random.Random(n)
+    net = Network(overlay, np.ones(n), np.ones(n), np.ones(n, dtype=bool), np.ones(1))
+    ctx = WalkContext(overlay, seed=7)
+    adjacency = overlay.adjacency_sets()
+    for _ in range(60):
+        net.up[:] = [rng.random() < 0.85 for _ in range(n)]
+        origin = rng.randrange(n)
+        net.up[origin] = True
+        k, ttl = rng.randint(1, 9), rng.randint(1, 8)
+        paths, winner, visited = walk(net, ctx, origin, k, ttl)
+        options = [v for v in adjacency[origin] if net.up[v]]
+        assert winner == -1 and len(paths) == min(k, len(options))
+        assert len({p[1] for p in paths}) == len(paths)
+        moves = [frozenset(m) for p in paths for m in zip(p, p[1:])]
+        assert len(set(moves)) == len(moves)
+        slots = [p[hop] for hop in range(1, ttl + 1) for p in paths if len(p) > hop]
+        assert visited == list(dict.fromkeys([origin] + slots))
+        assert len(visited) <= k * ttl + 1 and all(net.up[v] for v in visited)
+        for p in paths:
+            assert len(p) <= ttl + 1 and all(b in adjacency[a] for a, b in zip(p, p[1:]))
+            if len(p) < ttl + 1:             # halted: every up edge at its end is used
+                assert all(frozenset((p[-1], v)) in moves
+                           for v in adjacency[p[-1]] if net.up[v])
+
+
+@pytest.mark.parametrize("overlay", _overlays(), ids=lambda ov: f"n{ov.node_count}")
+def test_trajectories_nest_across_ttl(overlay):
+    # a ttl-t trajectory is the first t hops of the ttl-(t+1) one
+    n = overlay.node_count
+    rng = random.Random(n + 1)
+    net = Network(overlay, np.ones(n), np.ones(n), np.ones(n, dtype=bool), np.ones(1))
+    for msg in range(20):
+        origin, k = rng.randrange(n), rng.randint(1, 8)
+        walks = []
+        for ttl in range(8):
+            ctx = WalkContext(overlay, seed=3)
+            ctx.message = msg
+            walks.append(walk(net, ctx, origin, k, ttl))
+        for (short, _, seen), (long, _, more) in zip(walks, walks[1:]):
+            assert len(long) >= len(short)
+            assert all(p == q[:len(p)] and len(q) <= len(p) + 1 for p, q in zip(short, long))
+            assert more[:len(seen)] == seen
+
+
+def test_query_matches_the_walk_of_its_message():
+    # a query batch resolves message m as a walk of message m does, with the
+    # same provider, path and visited nodes however far the batch computed,
+    # also when a copy its batch saw is gone by the query's event
+    rng = random.Random(5)
+    overlay = generate_topology(80, 4.0, seed=5)
+    net = Network(overlay, np.ones(80), np.full(80, 5.0), np.ones(80, dtype=bool),
+                  np.ones(3))
+    for node in rng.sample(range(80), 12):
+        net.store_object(node, rng.randrange(3), 0)
+    origins = [rng.randrange(80) for _ in range(300)]
+    keys = [rng.randrange(3) for _ in range(300)]
+    ctx = WalkContext(overlay, seed=11)
+    ctx.plan(origins, keys)
+    for msg, (origin, key) in enumerate(zip(origins, keys)):
+        ctx.message = msg
+        outcome, visited = run_query(net, ctx, origin, key, 4, 5)
+        alone = WalkContext(overlay, seed=11)
+        alone.message = msg
+        paths, winner, seen = walk(net, alone, origin, 4, 5, net.holds[key])
+        assert visited == seen and outcome.probes == len(seen)
+        assert outcome.path == (tuple(paths[winner]) if winner >= 0 else ())
+        if msg % 3 == 0 and outcome.hops_used:
+            net.remove_object(outcome.provider, key)    # later queries look further

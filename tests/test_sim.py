@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrepsim import baselines, qrep
+from qrepsim import baselines, qrep, search
 from qrepsim import sim as sim_module
 from qrepsim.cli import emit_csv
 from qrepsim.errors import ConfigurationError
@@ -626,18 +626,35 @@ def test_down_origin_issues_nothing():
     assert sum(r.queries_issued for r in rows) == scheduled - len(down)
 
 
+@pytest.mark.parametrize("strategy", ["qrep", "path"])
+def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatch, strategy):
+    # how many queries a walk batch covers changes no outcome, in a run with
+    # churn (the up graph changes), scans (Hello sweeps) and scarce storage
+    # (copies a batch saw are evicted before their queries)
+    cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                    churn_every_queries=700, metrics_window_queries=500, seed=21,
+                    requester_copy=True, strategy=strategy)
+    csvs = set()
+    for chunk in (1, 7, 2048):
+        monkeypatch.setattr(search, "CHUNK", chunk)
+        sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3),
+                         TopologyConfig(storage_min=2.0, storage_max=4.0))
+        csvs.add(emit_csv(sim.run(), tmp_path / f"m{chunk}.csv").read_bytes())
+    assert len(csvs) == 1
+
+
 # sha256 of the metrics CSV for each strategy; any change to the walk stream,
 # the counters or a placement rule moves these
 PINNED_CSV_SHA256 = {
-    "qrep": "1067a8a46c804873e3b1d7656466bde97b8300b6597f8e2ba2ad27d04c90086e",
-    "path": "5a815a24c34c2aff47fde55c681f79d863c705e4c5a6a90e0c9e64e397806085",
-    "owner": "91c2a0ed0dac2fc208feeabb2d4d8778b7a57cc0da1ee9a57881fc0716f87b5b",
-    "random": "60251045269433b50b275b6a8d86b4cbf150c0626c7e8e17559c87351ad44049",
-    "none": "1abdc6f969afff63afc92e19e4cc289c383b0a3051c131af6e4eac78518a8e8d",
+    "qrep": "1ccc662c6ee0b4c82e54f256cc5d5473384dabaf25db1bb59d14c8ca182227a7",
+    "path": "bbca23ec68975d6d3053d93c69ac3175d4528a71597c05e9d89d26e5ab0589e5",
+    "owner": "0454d346c900d1efb98519bdd59b696d743947d0f02e3d2d99feebbbfde2cc23",
+    "random": "f41a98a7b1c8e56f02656107d0a6ca1c8f6ff420284913e7424bf6f45dcfae8b",
+    "none": "80f89239519b612de98ef98001f0c595fb5de9a73f48b878f23b72d296542120",
     # every copy older than the scan is wanted (p_th = 0), and scans that
     # evict (storage 2-4)
-    "qrep-p_th0": "6d9709fe486e31da3fb56affda9d304e189733edee5415e7a54d72e491455af4",
-    "qrep-pressure": "62fdd06c4512d59c656007aafa5442b73e68efdc0bb45579147d18fd42366f73",
+    "qrep-p_th0": "6ce808b828da17961eff185aec0ce51dc86ef150a923efdf89b9a671f41f30fb",
+    "qrep-pressure": "bf57849d32658ade9de1939f5de505acacd2994b53d5eac0288b72dc0bc32b88",
 }
 PINNED_OVERRIDES = {            # case -> (QRepParams fields, TopologyConfig fields)
     "qrep-p_th0": (dict(p_th=0.0), {}),
