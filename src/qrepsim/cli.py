@@ -120,13 +120,45 @@ plot "{csv}" using 1:4 with linespoints title "success rate", \\
 
 def _final_value(csv_path, column):
     """The last window's value in the column named `column`."""
-    lines = Path(csv_path).read_text().strip().splitlines()
+    try:
+        lines = Path(csv_path).read_text().strip().splitlines()
+    except UnicodeDecodeError:
+        raise CompareError(f"{csv_path} is not text") from None
     if len(lines) < 2:
         raise CompareError(f"{csv_path} has no data rows")
     header = lines[0].split(",")
     if column not in header:
         raise CompareError(f"{csv_path} has no {column} column")
-    return float(lines[-1].split(",")[header.index(column)])
+    row = lines[-1].split(",")
+    if len(row) != len(header):
+        raise CompareError(f"{csv_path}: last row has {len(row)} fields, "
+                           f"header has {len(header)}")
+    value = row[header.index(column)]
+    try:
+        return float(value)
+    except ValueError:
+        raise CompareError(f"{csv_path}: last {column} {value!r} is not a number") from None
+
+
+def _resolved_config(cfg_path):
+    """Every (section, key) -> value of a run's resolved config, and its
+    strategy and ttl."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(cfg_path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        reason = str(exc).splitlines()[0]
+        raise CompareError(f"{cfg_path} is not a config file: {reason}") from None
+    flat = {(s, k): v for s in parser.sections() for k, v in parser.items(s)}
+    for key in ("strategy", "ttl"):
+        if ("sim", key) not in flat:
+            raise CompareError(f"{cfg_path} has no [sim] {key}")
+    try:
+        ttl = int(flat[("sim", "ttl")])
+    except ValueError:
+        raise CompareError(f"{cfg_path}: [sim] ttl {flat[('sim', 'ttl')]!r} "
+                           f"is not an integer") from None
+    return flat, flat[("sim", "strategy")], ttl
 
 
 def compare_runs(run_dirs, report_path):
@@ -150,9 +182,7 @@ def compare_runs(run_dirs, report_path):
         cfg_path = run_dir / "config.resolved.ini"
         if not cfg_path.is_file():
             raise CompareError(f"missing {cfg_path}")
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read(cfg_path)
-        flat = {(s, k): v for s in parser.sections() for k, v in parser.items(s)}
+        flat, strategy, ttl = _resolved_config(cfg_path)
         fixed = {key: v for key, v in flat.items() if key not in varying}
         if baseline is None:
             baseline, baseline_dir = fixed, run_dir
@@ -162,8 +192,6 @@ def compare_runs(run_dirs, report_path):
             names = ", ".join(f"{s}.{k}" for s, k in diff)
             raise CompareError(
                 f"{run_dir} is not comparable with {baseline_dir}: differing keys {names}")
-        strategy = flat[("sim", "strategy")]
-        ttl = int(flat[("sim", "ttl")])
         csvs = sorted(run_dir.glob("metrics_seed*.csv"))
         if not csvs:
             raise CompareError(f"no metrics CSVs in {run_dir}")

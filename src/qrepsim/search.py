@@ -20,22 +20,22 @@ origin first, that holds the object at the query's own event, and its
 visited set is the distinct nodes up to that node, in first-visit order.
 
 So the engine computes trajectories ahead, in a `_Batch` of messages at a
-time, with numpy, vectorised over the messages and run in slot order. A
-walker whose node its message has visited only once can only have used the
-edge it arrived by, so it draws among the others directly; the full
-used-edge test runs only for a walker on a node its message has already
-visited twice. A query batch holds the next `CHUNK` messages of the
-planned schedule and extends lazily: it computes a hop only for the
-messages not yet resolved under `holds` at that moment, and extends a
-message again when its query, at its own event, needs more. How far the
-engine computed never changes an outcome. Batches are rebuilt when `up`
-changes, which happens at churn. Hello sweeps read no `holds`: a scan's
-sweeps are computed in one batch at scan start, in their own message-id
-domain.
+time, with numpy, one hop at a time and vectorised over the walkers still
+on a node: a walker that halted or never launched costs nothing. A walker
+whose node its message has visited only once can only have used the edge
+it arrived by, so it draws among the others directly; the full used-edge
+test runs only for the messages with a walker on a node visited twice. A
+bitset per message marks the nodes it visited. A query batch holds the
+next `CHUNK` messages of the planned schedule and extends lazily: it
+computes a hop only for the messages not yet resolved under `holds` at
+that moment, and extends a message again when its query, at its own
+event, needs more. How far the engine computed never changes an outcome.
+Batches are rebuilt when `up` changes, which happens at churn. Hello
+sweeps read no `holds`: a scan's sweeps are computed in one batch at scan
+start, in their own message-id domain.
 """
 
 from functools import partial
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,11 +66,16 @@ def message_keys(seed, msgs):
     return _mix(keys)
 
 
+def _salts(hop, k):
+    """(hop * 2**32 + w + 1) * golden mod 2**64 for walkers w < k."""
+    return np.array([((hop << 32) + w + 1) * _GOLDEN & _MASK for w in range(k)],
+                    dtype=np.uint64)
+
+
 def draws(keys, hop, k):
     """Draws of slots (hop, 0) .. (hop, k-1) for messages with these keys,
     one row per walker: mix(key + (hop * 2**32 + w + 1) * golden) mod 2**64."""
-    salt = [((hop << 32) + w + 1) * _GOLDEN & _MASK for w in range(k)]
-    return _mix(np.array(salt, dtype=np.uint64)[:, None] + keys)
+    return _mix(_salts(hop, k)[:, None] + keys)
 
 
 class QueryOutcome(NamedTuple):
@@ -89,11 +94,12 @@ _outcome = partial(tuple.__new__, QueryOutcome)   # QueryOutcome(*fields), witho
 class _UpGraph:
     """The overlay restricted to up nodes, in CSR order: the options of an
     up node v are slots start[v] .. start[v] + deg[v] - 1, each with its
-    neighbor `nbr`, the undirected edge id `und` both directions share, and
-    `back`, the position of the edge back in the neighbor's options. Down
-    nodes have no options. Slot and node -1 stand for none: `nbr`, `und` and
-    `back` end in -1, `bit` (1 << v % 64) ends in 0, `onward` (deg - 1, at
-    least 1) in 1 and `leaves` (deg > 1) in False."""
+    neighbor `nbr` and the undirected edge id `und` both directions share.
+    Down nodes have no options. Per slot s, reached from node v, `onward`,
+    `base` and `back` give the step on from nbr[s] that does not go back:
+    option pick < onward[s] is slot base[s] + pick + (pick >= back[s]), -1 at
+    a leaf. Slot -1 stands for none, and the per-slot arrays end in its
+    entry: `nbr` and `und` -1, and a step on to -1."""
 
     def __init__(self, overlay, up):
         n = overlay.node_count
@@ -101,19 +107,26 @@ class _UpGraph:
         keep = up[src] & up[overlay.indices]
         kept = np.flatnonzero(keep)
         compact = np.cumsum(keep) - 1
+        self.n = n
         self.deg = np.bincount(src[kept], minlength=n)
-        self.start = np.zeros(n, dtype=np.int64)
-        np.cumsum(self.deg[:-1], out=self.start[1:])
-        none = [-1]
-        self.nbr = np.concatenate((overlay.indices[kept], none)).astype(np.int32)
-        und = np.minimum(kept, overlay.edge_rev[kept])
-        self.und = np.concatenate((und, none)).astype(np.int32)
-        rev = compact[overlay.edge_rev[kept]]
-        self.back = np.concatenate((rev - self.start[self.nbr[:-1]], none)).astype(np.int32)
-        self.start = self.start.astype(np.int32)
-        self.bit = np.append(_U(1) << (np.arange(n) % 64).astype(np.uint64), _U(0))
-        self.onward = np.append(np.maximum(self.deg - 1, 1), 1).astype(np.uint64)
-        self.leaves = np.append(self.deg > 1, False)
+        start = np.zeros(n, dtype=np.int64)
+        np.cumsum(self.deg[:-1], out=start[1:])
+        nbr = overlay.indices[kept].astype(np.int64)
+        onward = self.deg[nbr] - 1
+        on = onward > 0
+        back = compact[overlay.edge_rev[kept]] - start[nbr]
+        # index arrays are int64, numpy's index type on 64-bit hosts, so
+        # gathers through them need no cast
+        self.start = start
+        self.nbr = np.append(nbr, -1)
+        self.und = np.append(np.minimum(kept, overlay.edge_rev[kept]), -1).astype(np.int64)
+        self.onward = np.append(np.maximum(onward, 1), 1).astype(np.uint64)
+        self.base = np.append(np.where(on, start[nbr], -1), -1).astype(np.int64)
+        self.back = np.append(np.where(on, back, 1), 1).astype(np.int64)
+        # a `seen` row has bit v % 8 of byte v // 8 for node v, and a last
+        # byte that node -1 of the next row reads with bit 0, so never sets
+        self.width = n // 8 + 2
+        self.bit = np.append(np.uint8(1) << (np.arange(n) % 8).astype(np.uint8), np.uint8(0))
 
 
 class _Batch:
@@ -122,13 +135,12 @@ class _Batch:
     Arrays are slot-major, one column per message. Row 0 of `hist` is the
     origin and row 1 + hop * k + w the node slot (hop, w) reached, -1 for
     a walker that halted or never launched; `slots` holds the up-graph slot
-    each crossed, one row earlier, and `again` marks the arrivals on a node
-    their message had visited before. `bloom` has bit v % 64 set for every
-    node v a message visited, so only arrivals on a set bit are compared
-    with the message's history. `level` counts the hops computed, `done`
-    marks a message whose walkers all halted or that reached its ttl, and
-    `packed` holds the first visits of each query message, `counts` of them
-    at the front of its row."""
+    each crossed, one row earlier. `seen` has a row of `graph.width` bytes
+    per message with bit v % 8 of byte v // 8 set for every node v it
+    visited. `level` counts the hops computed, `done` marks a message whose
+    walkers all halted or that reached its ttl, and `twice` one whose last
+    hop arrived on a node it had visited before. `packed` holds the first
+    visits of each message, `counts` of them at the front of its row."""
 
     def __init__(self, graph, seed, ids, origins, targets, k, ttl):
         self.graph, self.targets, self.ttl = graph, targets, ttl
@@ -140,193 +152,268 @@ class _Batch:
         size = self.size
         self.level = np.zeros(size, dtype=np.int64)
         self.done = (deg == 0) | (self.k == 0)
-        self.bloom = graph.bit[origins]
+        self.twice = np.zeros(size, dtype=np.bool_)
         self.hops = min(ttl, 8)               # room for 8 hops, doubled as needed
         self.hist = np.full((1 + self.hops * self.k, size), -1, dtype=np.int32)
         self.hist[0] = origins
         self.slots = np.full((self.hops * self.k, size), -1, dtype=np.int32)
-        self.again = np.zeros(self.hist.shape, dtype=np.bool_)
+        self.seen = np.zeros(size * graph.width, dtype=np.uint8)
+        self.seen[np.arange(size) * graph.width + (origins >> 3)] = graph.bit[origins]
         self.origins = origins.tolist()
         self.launched = np.minimum(deg, self.k).tolist()
         self.target_list = None if targets is None else targets.tolist()
-        # a message is packed as it is extended, or here if it never moves
         self.packed = np.zeros((size, len(self.hist)), dtype=np.int32)
         self.packed[:, 0] = origins
-        self.counts = self.done.astype(np.int64)
+        self.counts = np.ones(size, dtype=np.int64)
 
     def _grow(self):
         """Room for twice as many hops in every per-slot array."""
         more = (self.hops * self.k, self.size)
         self.hist = np.vstack((self.hist, np.full(more, -1, dtype=np.int32)))
         self.slots = np.vstack((self.slots, np.full(more, -1, dtype=np.int32)))
-        self.again = np.vstack((self.again, np.zeros(more, dtype=np.bool_)))
         self.packed = np.hstack((self.packed, np.zeros(more[::-1], dtype=np.int32)))
         self.hops *= 2
 
     def extend(self, holds=None, first=0):
         """Compute further hops for the messages from index `first` on that
         are not done and, with `holds`, have no visited node holding their
-        object; a message stops as soon as one does."""
+        object; a message stops as soon as one does.
+
+        The messages in flight keep their state compact, in `flight`: the
+        message, its key, its `seen` row, its object's row of `holds`,
+        whether its last hop arrived twice and its count of first visits.
+        Their walkers that stand on a node are kept flat, walker by walker,
+        in `walkers`: walker index, entry of its message in `flight` and
+        the slot it crossed last. A message joins when the hop reaches its
+        level and leaves when it stops; a walker leaves when it halts."""
         todo = np.arange(first, self.size)[~self.done[first:]]
         if holds is not None and len(todo):
             nodes = self.hist[:1 + self.k * int(self.level[todo].max()), todo]
-            todo = todo[~(holds[self.targets[todo], nodes] & (nodes >= 0)).any(0)]
+            held = holds.reshape(-1).take(self.targets[todo] * self.graph.n + nodes)
+            todo = todo[~(held & (nodes >= 0)).any(0)]
         if not len(todo):
             return
         todo = todo[np.argsort(self.level[todo], kind="stable")]
         levels = self.level[todo]
-        active = todo[:0]
+        cells = None if holds is None else holds.reshape(-1)
+        graph, k = self.graph, self.k
+        flight = walkers = None
         joined = 0
         hop = int(levels[0])
-        while joined < len(todo) or len(active):
-            if not len(active):
-                hop = int(levels[joined])
-            upto = int(np.searchsorted(levels, hop, side="right"))
-            if upto > joined:
-                active = np.concatenate((active, todo[joined:upto]))
+        while True:
+            if joined < len(todo) and levels.item(joined) == hop:
+                upto = int(np.searchsorted(levels, hop, side="right"))
+                msgs = todo[joined:upto]
                 joined = upto
+                flight, walkers = self._join(flight, walkers, msgs, hop)
             if hop >= self.hops:
                 self._grow()
-            reached, moved = self._hop(active, hop)
+            walker, col, slot, reached, moved = self._hop(hop, flight, walkers)
             hop += 1
-            self.level[active] = hop
-            going = moved.any(0)
+            msgs = flight[0]
+            going = np.zeros(len(msgs), dtype=np.bool_)
+            going[col[moved]] = True
             if hop >= self.ttl:
                 going[:] = False
-            self.done[active[~going]] = True
-            if holds is not None:
-                going &= ~(holds[self.targets[active], reached] & moved).any(0)
-            active = active[going]
-        self._pack(todo)
+            self.done[msgs[~going]] = True
+            if cells is not None:             # a message stops at its first holder
+                found = cells.take(flight[3].take(col) + reached) & moved
+                going[col[found]] = False
+            on = np.flatnonzero(moved & going.take(col))
+            walkers = [walker.take(on), col.take(on), slot.take(on)]
+            if going.all():
+                continue
+            stop = ~going
+            left = msgs[stop]
+            self.level[left] = hop
+            self.twice[left] = flight[4][stop]
+            self.counts[left] = flight[5][stop]
+            stay = np.flatnonzero(going)
+            if len(stay):
+                walkers[1] = (np.cumsum(going) - 1).take(walkers[1])
+                flight = [a.take(stay) for a in flight]
+            elif joined < len(todo):
+                flight = walkers = None
+                hop = int(levels[joined])
+            else:
+                return
+
+    def _join(self, flight, walkers, msgs, hop):
+        """`flight` and `walkers` with the messages `msgs` at level `hop`
+        added, walkers kept in walker order."""
+        graph, k = self.graph, self.k
+        cell = msgs if self.targets is None else self.targets[msgs] * graph.n
+        joining = [msgs, self.keys[msgs], msgs * graph.width, cell,
+                   self.twice[msgs], self.counts[msgs]]
+        if flight is None:
+            flight, walkers = joining, None
+        else:
+            flight = [np.concatenate((a, b)) for a, b in zip(flight, joining)]
+        if hop:                       # hop 0 launches the walkers of every message
+            last = self.slots[(hop - 1) * k:hop * k, msgs]
+            on = np.flatnonzero(last >= 0)
+            walker, col = np.divmod(on, len(msgs))
+            col += len(flight[0]) - len(msgs)
+            new = [walker, col, last.reshape(-1).take(on).astype(np.int64)]
+            if walkers is not None:
+                new = [np.concatenate((a, b)) for a, b in zip(walkers, new)]
+                order = np.argsort(new[0], kind="stable")
+                new = [a.take(order) for a in new]
+            walkers = new
+        return flight, walkers
 
     def visits(self, m):
-        """The first visits of message m, in order, or None before it is
-        extended."""
-        count = self.counts.item(m)
-        return self.packed[m, :count].tolist() if count else None
+        """The first visits of message m computed so far, in order."""
+        return self.packed[m, :self.counts.item(m)].tolist()
 
-    def _pack(self, msgs):
-        """Pack the first visits of `msgs` to the front of their rows of
-        `packed`, in order, and count them in `counts`."""
-        rows = 1 + self.k * int(self.level[msgs].max())
-        nodes = self.hist[:rows].T[msgs]
-        first = (nodes >= 0) & ~self.again[:rows].T[msgs]
-        order = np.argsort(~first, axis=1, kind="stable")
-        self.packed[msgs, :rows] = np.take_along_axis(nodes, order, axis=1)
-        self.counts[msgs] = first.sum(1)
-
-    def _hop(self, active, hop):
-        """Compute slots (hop, 0) .. (hop, k-1) of the `active` messages;
-        returns the nodes they reached (-1 for none) and which moved, each
-        (k, len(active))."""
+    def _hop(self, hop, flight, walkers):
+        """Compute slots (hop, 0) .. (hop, k-1) of the messages in `flight`
+        from their `walkers`, mark and pack the arrivals, and update each
+        message's `twice` and count in `flight`; returns, for each walker
+        that stepped, its index, the entry of its message, the slot it
+        crossed and the node it reached (-1 for none), and which moved."""
         graph, k = self.graph, self.k
-        rows = slice(1 + hop * k, 1 + (hop + 1) * k)
-        drawn = draws(self.keys[active], hop, k)
+        msgs, keys, row, cell, twice, count = flight
+        n = len(msgs)
         if hop == 0:
-            slot = self._launch(active, drawn)
-            reached = graph.nbr[slot]
-            bits = graph.bit[reached]
-            seen = np.zeros(slot.shape, dtype=np.bool_)   # distinct neighbors
+            grid = self._launch(msgs, draws(keys, 0, k))
+            on = np.flatnonzero(grid >= 0)
+            walker, col = np.divmod(on, n)
+            slot = grid.reshape(-1).take(on)
         else:
+            walker, col, last = walkers
+            drawn = _mix(_salts(hop, k).take(walker) + keys.take(col))
             # a walker on a node its message visited once has used only the
             # edge it arrived by, so it picks among the others
-            last = self.slots[rows.start - 1 - k:rows.start - 1][:, active]
-            node = graph.nbr[last]
-            pick = (drawn % graph.onward[node]).astype(np.int32)
-            slot = np.where(graph.leaves[node],
-                            graph.start[node] + pick + (pick >= graph.back[last]), -1)
-            reached = graph.nbr[slot]
-            bits, seen = self._seen(active, rows, reached)
+            pick = (drawn % graph.onward.take(last)).view(np.int64)
+            slot = graph.base.take(last)
+            slot += pick
+            slot += pick >= graph.back.take(last)
+        reached = graph.nbr.take(slot)
+        at = reached >> 3
+        at += row.take(col)
+        bits = graph.bit.take(reached)
+        if hop:
             # a walker stands on a node visited twice if it arrived there
             # again, or if a later walker did in the last hop (which arrived
             # again too), or if an earlier walker arrives there in this one
-            tangled = self.again[rows.start - k:rows.start][:, active].any(0)
-            walker, i = np.nonzero(seen)
-            if len(i):
-                meets = (node[:, i] == reached[walker, i]) & (np.arange(k)[:, None] > walker)
-                tangled[i[meets.any(0)]] = True
-            tangled = np.flatnonzero(tangled)
+            hit = np.flatnonzero(self.seen.take(at) & bits)
+            if len(hit):
+                i = col.take(hit)
+                stand = self.hist[1 + (hop - 1) * k:1 + hop * k, msgs.take(i)]
+                meets = ((stand == reached.take(hit))
+                         & (np.arange(k)[:, None] > walker.take(hit)))
+                twice[i[meets.any(0)]] = True
+            tangled = np.flatnonzero(twice)
             if len(tangled):
-                msgs = active[tangled]
-                part = self._untangle(msgs, rows, last[:, tangled], drawn[:, tangled],
-                                      slot[:, tangled])
-                slot[:, tangled] = part
-                reached[:, tangled] = part = graph.nbr[part]
-                bits[:, tangled], seen[:, tangled] = self._seen(msgs, rows, part)
-        self.slots[rows.start - 1:rows.stop - 1, active] = slot
-        self.hist[rows, active] = reached
-        self.again[rows, active] = seen
-        self.bloom[active] |= np.bitwise_or.reduce(bits, axis=0)
-        return reached, reached >= 0
+                entry = np.full(n, -1, dtype=np.int64)
+                entry[tangled] = np.arange(len(tangled))
+                entry = entry.take(col)
+                pairs = np.flatnonzero(entry >= 0)
+                slot[pairs] = self._untangle(msgs.take(tangled), hop, walker.take(pairs),
+                                             entry.take(pairs), last.take(pairs),
+                                             drawn.take(pairs), slot.take(pairs))
+                reached = graph.nbr.take(slot)
+                at = reached >> 3
+                at += row.take(col)
+                bits = graph.bit.take(reached)
+        moved = reached >= 0
+        again = self._arrive(walker, at, bits, moved)
+        nodes = reached.astype(np.int32)
+        size = self.size
+        spot = walker * size
+        spot += msgs.take(col)
+        self.slots.reshape(-1)[hop * k * size + spot] = slot.astype(np.int32)
+        self.hist.reshape(-1)[(1 + hop * k) * size + spot] = nodes
+        flight[4] = np.zeros(n, dtype=np.bool_)
+        flight[4][col[again]] = True
+        # first visits go to the next places of their rows, counted walker
+        # by walker; the others go to the last place, which holds a first
+        # visit only once all are
+        first = moved > again
+        place = np.zeros((k, n), dtype=np.int64)
+        cells = walker * n + col
+        place.reshape(-1)[cells] = first
+        place[0] += count - 1
+        for w in range(1, k):
+            np.add(place[w], place[w - 1], out=place[w])
+        flight[5] = place[-1] + 1
+        place = place.reshape(-1).take(cells)
+        width = self.packed.shape[1]
+        np.copyto(place, width - 1, where=~first)
+        spot -= walker * size
+        spot *= width
+        place += spot
+        self.packed.reshape(-1)[place] = nodes
+        return walker, col, slot, reached, moved
 
-    def _seen(self, msgs, rows, reached):
-        """(bits, seen) of the arrivals `reached` of hop `rows` of `msgs`:
-        their bloom bits, and which reach a node their message visited
-        before. Only arrivals on a bit of the message's bloom, or on the bit
-        of an earlier arrival of the hop, are compared."""
-        bits = self.graph.bit[reached]
-        earlier = np.zeros_like(bits)
-        np.bitwise_or.accumulate(bits[:-1], axis=0, out=earlier[1:])
-        earlier |= self.bloom[msgs]
-        walker, i = np.nonzero(earlier & bits)
-        seen = np.zeros(reached.shape, dtype=np.bool_)
-        if len(i):
-            node = reached[walker, i]
-            before = np.arange(len(bits))[:, None] < walker
-            seen[walker, i] = ((self.hist[:rows.start, msgs[i]] == node).any(0)
-                               | ((reached[:, i] == node) & before).any(0))
-        return bits, seen
+    def _arrive(self, walker, at, bits, moved):
+        """Set the arrivals' `bits` in the bytes at `at` of `seen`, walker
+        by walker (`walker` is sorted); returns which moved to a node whose
+        bit was set before."""
+        seen = self.seen
+        again = np.empty(len(at), dtype=np.bool_)
+        start = 0
+        for end in np.searchsorted(walker, np.arange(1, self.k + 1)).tolist():
+            cells = at[start:end]
+            byte = seen.take(cells)
+            marked = byte | bits[start:end]
+            seen[cells] = marked
+            np.equal(marked, byte, out=again[start:end])
+            start = end
+        again &= moved
+        return again
 
-    def _launch(self, active, drawn):
+    def _launch(self, msgs, drawn):
         """Hop 0: walker w of a message takes, if its origin has more than w
-        up neighbors, option draw % (deg - w) of those the walkers before it
-        left, so walkers land on distinct neighbors."""
+        up neighbors, option pick = draw % (deg - w) of those the walkers
+        before it left, so walkers land on distinct neighbors. The picks
+        decode like a Lehmer code: from the last walker back, each walker's
+        pick moves every later one at or above it up by one option."""
         graph, k = self.graph, self.k
-        origin = self.hist[0, active]
-        deg, base = graph.deg[origin], graph.start[origin]
-        left = deg - np.arange(k)[:, None]
-        picks = (drawn % np.maximum(left, 1).astype(np.uint64)).astype(np.int64)
-        free = np.arange(int(deg.max()))[:, None] < deg       # option by message
-        cols = np.arange(len(active))
-        slot = np.empty(drawn.shape, dtype=np.int64)
-        for w, pick in enumerate(picks):
-            # where no option is left this picks option 0, which is taken
-            option = np.argmax(free.cumsum(0) > pick, axis=0)
-            free[option, cols] = False
-            slot[w] = base + option
-        return np.where(left > 0, slot, -1)
+        origin = self.hist[0, msgs]
+        left = graph.deg[origin] - np.arange(k)[:, None]
+        option = (drawn % np.maximum(left, 1).astype(np.uint64)).view(np.int64)
+        for w in range(k - 2, -1, -1):
+            later = option[w + 1:]
+            later += later >= option[w]
+        return np.where(left > 0, graph.start[origin] + option, -1)
 
-    def _untangle(self, msgs, rows, last, drawn, slot):
-        """Exact slots of a hop for messages where a walker may stand on a
-        node visited twice.
+    def _untangle(self, msgs, hop, walker, i, last, drawn, slot):
+        """Exact slots of a hop for messages `msgs` where a walker may stand
+        on a node visited twice, given flat over their walkers that stand
+        on a node: walker index, index i in `msgs`, last slot, draw and
+        cheap pick.
 
         Each walker tests every option against the edges its message used
         in earlier hops and those its walkers before it use in this hop.
-        Starting from `slot`, the cheap picks, the slots are recomputed
-        from the previous round until they repeat; walker w is exact after
-        round w + 1, so this takes at most k + 1 rounds."""
+        Starting from the cheap picks, the slots are recomputed from the
+        previous round until the free options repeat; walker w is exact
+        after round w + 1, so this takes at most k + 2 rounds."""
         graph, k = self.graph, self.k
-        walker, i = np.nonzero(last >= 0)
-        at = graph.nbr[last[walker, i]]
-        base, deg = graph.start[at], graph.deg[at]
+        at = graph.nbr.take(last)
+        base, deg = graph.start.take(at), graph.deg.take(at)
         width = np.arange(int(deg.max()))[:, None]
-        valid = width < deg                                  # option by pair
-        ids = graph.und[np.where(valid, base + width, 0)]
-        past = graph.und[self.slots[:rows.start - 1, msgs[i]]]
-        free_before = valid & ~(past[:, None, :] == ids).any(0)
+        valid = width < deg                                  # option by walker
+        ids = graph.und.take(np.where(valid, base + width, -1))
+        past = graph.und.take(self.slots[:hop * k, msgs.take(i)])
+        free_before = valid > (past[:, None, :] == ids).any(0)
         before = np.arange(k)[:, None] < walker
-        drawn = drawn[walker, i]
-        slot = slot.copy()
+        grid = np.full((k, len(msgs)), -1, dtype=np.int64)   # the hop's slots by message
+        cells = walker * len(msgs) + i
+        grid.reshape(-1)[cells] = slot
+        free = None
         while True:
-            now = np.where(before, graph.und[slot[:, i]], -1)
-            free = free_before & ~(now[:, None, :] == ids).any(0)
-            count = free.sum(0)
-            pick = (drawn % np.maximum(count, 1).astype(np.uint64)).astype(np.int64)
-            column = np.argmax(free.cumsum(0) > pick, axis=0)
-            picked = np.where(count > 0, base + column, -1)
-            if np.array_equal(picked, slot[walker, i]):
-                return slot
-            slot[walker, i] = picked
+            used = np.where(before, graph.und.take(grid[:, i]), -1)
+            now = free_before > (used[:, None, :] == ids).any(0)
+            if free is not None and np.array_equal(now, free):
+                return slot                  # the same options give the same picks
+            free = now
+            count = free.sum(0, dtype=np.uint64)
+            pick = drawn % np.maximum(count, 1)
+            column = np.argmax(free.cumsum(0, dtype=np.uint64) > pick, axis=0)
+            slot = np.where(count > 0, base + column, -1)
+            grid.reshape(-1)[cells] = slot
 
     def path(self, m, visits, t):
         """Node sequence of the walker whose first visit is visit t of
@@ -387,7 +474,7 @@ class WalkContext:
                     and batch.target_list[m] == key and batch.asked == (k, ttl)):
                 return batch, m
         graph = self.graph(up)
-        self._batch = None                  # not alive next to the new one
+        self._batch = batch = None          # not alive next to the new one
         planned = self.origins
         if (planned is not None and msg < len(planned)
                 and planned[msg] == origin and self.targets[msg] == key):
@@ -418,6 +505,7 @@ class WalkContext:
         ids = [SWEEP | self.epoch << 32 | v for v in origins.tolist()]
         batch = _Batch(graph, self.seed, ids, origins, None, k, ttl)
         batch.extend()
+        batch.hist = batch.slots = batch.seen = None     # a sweep is read by its visits only
         for m, v in enumerate(batch.origins):
             self.sweeps[v, k, ttl] = batch, m
 
@@ -433,16 +521,14 @@ def run_query(net, ctx, origin, key, k, ttl):
     held = net.holds[key].tobytes()
     while True:
         visits = batch.visits(m)
-        if visits is not None:
-            found = itemgetter(origin, *visits)(held)   # a tuple even for one visit
-            if 1 in found or batch.done[m]:
-                break
+        for hit, v in enumerate(visits):
+            if held[v]:
+                path = batch.path(m, visits, hit)
+                return (_outcome((True, path[-1], path, len(path) - 1, hit + 1)),
+                        visits[:hit + 1])
+        if batch.done.item(m):
+            return _outcome((False, None, (), 0, len(visits))), visits
         batch.extend(net.holds, m)
-    if 1 not in found:
-        return _outcome((False, None, (), 0, len(visits))), visits
-    hit = found.index(1) - 1
-    path = batch.path(m, visits, hit)
-    return _outcome((True, path[-1], path, len(path) - 1, hit + 1)), visits[:hit + 1]
 
 
 def walk(net, ctx, origin, k, ttl, holds_row=None):

@@ -205,6 +205,16 @@ def schedule_workload(config, net, rng):
     return times.ravel()[order], np.repeat(nodes, q)[order], targets.ravel()[order]
 
 
+def _schedule_rows(times, origins, targets, chunk=4096):
+    """(i, time, origin, target) of each scheduled query as Python ints,
+    read from the arrays `chunk` queries at a time: lists of the whole
+    schedule would hold a Python int per entry for the whole run."""
+    for start in range(0, len(times), chunk):
+        end = start + chunk
+        yield from zip(range(start, end), times[start:end].tolist(),
+                       origins[start:end].tolist(), targets[start:end].tolist())
+
+
 def apply_churn(net, config, rng):
     """Flip churn_flip_fraction of the down set up and as many up nodes down.
 
@@ -349,7 +359,7 @@ class Simulation:
         decides a down origin."""
         cfg = self.config
         net = self.net
-        if not net.up[origin]:
+        if not net.up.item(origin):
             return None
         outcome, visited = run_query(net, self.ctx, origin, obj,
                                      cfg.walkers_k, cfg.ttl)
@@ -394,8 +404,7 @@ class Simulation:
         self.scans_run = 0
 
         last = len(times) - 1
-        for i in range(len(times)):
-            now = times.item(i)
+        for i, now, origin, obj in _schedule_rows(times, origins, targets):
             while next_scan <= now:
                 self._scan_event(next_scan)
                 if self.checker:
@@ -403,7 +412,7 @@ class Simulation:
                 self.scans_run += 1
                 next_scan += delta_ms
             self.ctx.message = i
-            outcome = self._query_event(now, origins.item(i), targets.item(i))
+            outcome = self._query_event(now, origin, obj)
             if outcome is not None:
                 issued_total += 1
                 win_issued += 1

@@ -289,6 +289,32 @@ def test_compare_reads_values_literally(tmp_path):
     assert main(["compare", "--runs", *dirs, "--out", str(tmp_path / "r.csv")]) == 0
 
 
+@pytest.mark.parametrize("config, csv, named", [
+    ("junk\n[sim]\nstrategy = path\nttl = 3\nseed = 1\n", None, "config.resolved.ini"),
+    ("[sim]\nstrategy = path\nseed = 1\n", None, "config.resolved.ini"),
+    ("[sim]\nstrategy = path\nttl = x\nseed = 1\n", None, "config.resolved.ini"),
+    (None, "window_index,success_rate\n0,abc\n", "metrics_seed1.csv"),
+    (None, "window_index,success_rate\n0\n", "metrics_seed1.csv"),
+], ids=["text-before-first-section", "no-ttl", "ttl-not-an-integer",
+        "rate-not-a-number", "row-shorter-than-header"])
+def test_compare_unreadable_run_is_an_error(tmp_path, capsys, config, csv, named):
+    # a run directory compare cannot read exits 2 and names the file
+    runs = []
+    for strategy, bad in (("qrep", False), ("path", True)):
+        run = tmp_path / strategy
+        run.mkdir()
+        (run / "config.resolved.ini").write_text(
+            config if bad and config else f"[sim]\nstrategy = {strategy}\nttl = 3\nseed = 1\n")
+        (run / "metrics_seed1.csv").write_text(
+            csv if bad and csv else "window_index,success_rate\n0,0.5\n")
+        runs.append(run)
+    report = tmp_path / "r.csv"
+    assert main(["compare", "--runs", *map(str, runs), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(runs[1] / named) in err
+    assert err.count("\n") == 1 and not report.exists()
+
+
 def test_cli_override_flags(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY)

@@ -7,6 +7,7 @@ import pytest
 
 from qrepsim.model import generate_topology, Network, Overlay
 from qrepsim.qrep import QRepParams, build_q_table, init_q_value
+from qrepsim import search
 from qrepsim.search import (SWEEP, WalkContext, draws, hello_sweep, message_keys, run_query,
                             walk)
 
@@ -167,6 +168,59 @@ def test_launch_uses_distinct_neighbors():
     # with 5 walkers on 5 distinct leaves the object is always found
     for seed in range(10):
         assert run_query(net, make_ctx(net, seed=seed), 0, 0, 5, 1)[0].success
+
+
+@pytest.mark.parametrize("up_leaves", [1, 2, 3, 5, 8, 14, 15, 31, 64])
+def test_launch_matches_a_list_oracle(up_leaves):
+    # walker w of the hub's message lands on remaining.pop(draw % len(remaining)),
+    # `remaining` being the hub's up options in CSR order that walkers before
+    # it left; walkers past the hub's up-degree do not launch. A down leaf
+    # sits after every third up one, so up options are not all options.
+    leaves = up_leaves + up_leaves // 3
+    up = [True] + [(v % 4) != 0 for v in range(1, leaves + 1)]
+    while sum(up) - 1 > up_leaves:
+        up[up.index(True, 1)] = False
+    while sum(up) - 1 < up_leaves:
+        up[up.index(False)] = True
+    net = star_network(leaves=leaves, up=up)
+    ov = net.overlay
+    options = [v for v in ov.indices[ov.indptr[0]:ov.indptr[1]].tolist() if up[v]]
+    for seed in (3, 8):
+        ctx = make_ctx(net, seed=seed)
+        for msg in range(45):
+            k = 1 + msg % 9
+            paths = walker_paths(net, ctx, 0, k=k, ttl=1)
+            remaining = list(options)
+            expected = [remaining.pop(int(d) % len(remaining))
+                        for d in draws(message_keys(seed, [msg]), 0, k)[:min(k, up_leaves), 0]]
+            assert [p[1] for p in paths] == expected
+
+
+def test_engine_keeps_integer_dtypes(monkeypatch):
+    # NumPy 1.x promotes mixed integer operands by value, NumPy 2 by type
+    # (NEP 50): whatever the version, the stores keep their dtypes and the
+    # launch and the exact step return integer slots, on K6 (where almost
+    # every step after the launch is tangled) and on an ER overlay
+    returned = []
+    for name in ("_launch", "_untangle"):
+        method = getattr(search._Batch, name)
+
+        def spy(self, *args, method=method):
+            out = method(self, *args)
+            returned.append(out.dtype)
+            return out
+        monkeypatch.setattr(search._Batch, name, spy)
+    k6 = Overlay.from_adjacency({u: [v for v in range(6) if v != u] for u in range(6)})
+    for overlay in (k6, generate_topology(60, 4.0, seed=2)):
+        n = overlay.node_count
+        graph = search._UpGraph(overlay, np.ones(n, dtype=bool))
+        batch = search._Batch(graph, 5, range(40), [m % n for m in range(40)], None, 6, 5)
+        batch.extend()
+        assert batch.keys.dtype == np.uint64 and batch.seen.dtype == np.uint8
+        for array in (batch.hist, batch.slots, batch.packed):
+            assert array.dtype == np.int32
+        assert graph.onward.dtype == np.uint64 and graph.bit.dtype == np.uint8
+    assert len(returned) > 2 and all(np.issubdtype(t, np.integer) for t in returned)
 
 
 def test_hello_star_one_response_per_leaf():

@@ -626,14 +626,16 @@ def test_down_origin_issues_nothing():
     assert sum(r.queries_issued for r in rows) == scheduled - len(down)
 
 
-@pytest.mark.parametrize("strategy", ["qrep", "path"])
-def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatch, strategy):
+@pytest.mark.parametrize("case", ["qrep", "path", "owner", "random", "qrep-no-requester-copy"])
+def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatch, case):
     # how many queries a walk batch covers changes no outcome, in a run with
     # churn (the up graph changes), scans (Hello sweeps) and scarce storage
-    # (copies a batch saw are evicted before their queries)
+    # (copies a batch saw are evicted before their queries); each placement
+    # rule changes the stores under a batch in its own way
     cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
                     churn_every_queries=700, metrics_window_queries=500, seed=21,
-                    requester_copy=True, strategy=strategy)
+                    requester_copy=not case.endswith("no-requester-copy"),
+                    strategy=case.split("-")[0])
     csvs = set()
     for chunk in (1, 7, 2048):
         monkeypatch.setattr(search, "CHUNK", chunk)
