@@ -44,9 +44,12 @@ def parse_config(path, overrides=None):
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
 
     values = {section: {} for section in _SECTIONS}
     for section in parser.sections():

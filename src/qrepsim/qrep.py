@@ -137,7 +137,7 @@ def init_q_value(bandwidth, storage_available, params):
 def build_q_table(net, ctx, node, params):
     """Hello-sweep the neighborhood and merge responders into the Q-table.
     The sweep is this node's in the current sweep epoch, which the driver
-    computes for every source as a scan, or the initial build, starts.
+    plans for every source as a scan, or the initial build, starts.
 
     New peers enter with the initial Q-value of their current bandwidth and
     free storage; peers already known keep their learned value. Known peers

@@ -31,8 +31,8 @@ computes a hop only for the messages not yet resolved under `holds` at
 that moment, and extends a message again when its query, at its own
 event, needs more. How far the engine computed never changes an outcome.
 Batches are rebuilt when `up` changes, which happens at churn. Hello
-sweeps read no `holds`: a scan's sweeps are computed in one batch at scan
-start, in their own message-id domain.
+sweeps read no `holds` and have message ids of their own: the first read
+of a sweep epoch computes the sweeps of every origin it planned in one batch.
 """
 
 from functools import partial
@@ -132,15 +132,15 @@ class _UpGraph:
 class _Batch:
     """Trajectories of a batch of messages under one `up`, grown hop by hop.
 
-    Arrays are slot-major, one column per message. Row 0 of `hist` is the
-    origin and row 1 + hop * k + w the node slot (hop, w) reached, -1 for
-    a walker that halted or never launched; `slots` holds the up-graph slot
-    each crossed, one row earlier. `seen` has a row of `graph.width` bytes
-    per message with bit v % 8 of byte v // 8 set for every node v it
-    visited. `level` counts the hops computed, `done` marks a message whose
-    walkers all halted or that reached its ttl, and `twice` one whose last
-    hop arrived on a node it had visited before. `packed` holds the first
-    visits of each message, `counts` of them at the front of its row."""
+    `slots` is slot-major, one column per message: row hop * k + w holds
+    the up-graph slot that slot (hop, w) crossed, -1 for a walker that
+    halted or never launched, so `graph.nbr` of it is the node reached.
+    `seen` has a row of `graph.width` bytes per message with bit v % 8 of
+    byte v // 8 set for every node v it visited. `level` counts the hops
+    computed, `done` marks a message whose walkers all halted or that
+    reached its ttl, and `twice` one whose last hop arrived on a node it
+    had visited before. `packed` holds the first visits of each message,
+    origin first, `counts` of them at the front of its row."""
 
     def __init__(self, graph, seed, ids, origins, targets, k, ttl):
         self.graph, self.targets, self.ttl = graph, targets, ttl
@@ -154,22 +154,17 @@ class _Batch:
         self.done = (deg == 0) | (self.k == 0)
         self.twice = np.zeros(size, dtype=np.bool_)
         self.hops = min(ttl, 8)               # room for 8 hops, doubled as needed
-        self.hist = np.full((1 + self.hops * self.k, size), -1, dtype=np.int32)
-        self.hist[0] = origins
         self.slots = np.full((self.hops * self.k, size), -1, dtype=np.int32)
         self.seen = np.zeros(size * graph.width, dtype=np.uint8)
         self.seen[np.arange(size) * graph.width + (origins >> 3)] = graph.bit[origins]
-        self.origins = origins.tolist()
         self.launched = np.minimum(deg, self.k).tolist()
-        self.target_list = None if targets is None else targets.tolist()
-        self.packed = np.zeros((size, len(self.hist)), dtype=np.int32)
+        self.packed = np.zeros((size, 1 + self.hops * self.k), dtype=np.int32)
         self.packed[:, 0] = origins
         self.counts = np.ones(size, dtype=np.int64)
 
     def _grow(self):
         """Room for twice as many hops in every per-slot array."""
         more = (self.hops * self.k, self.size)
-        self.hist = np.vstack((self.hist, np.full(more, -1, dtype=np.int32)))
         self.slots = np.vstack((self.slots, np.full(more, -1, dtype=np.int32)))
         self.packed = np.hstack((self.packed, np.zeros(more[::-1], dtype=np.int32)))
         self.hops *= 2
@@ -188,9 +183,10 @@ class _Batch:
         level and leaves when it stops; a walker leaves when it halts."""
         todo = np.arange(first, self.size)[~self.done[first:]]
         if holds is not None and len(todo):
-            nodes = self.hist[:1 + self.k * int(self.level[todo].max()), todo]
-            held = holds.reshape(-1).take(self.targets[todo] * self.graph.n + nodes)
-            todo = todo[~(held & (nodes >= 0)).any(0)]
+            counts = self.counts[todo]
+            nodes = self.packed[todo, :int(counts.max())]
+            held = holds.reshape(-1).take(self.targets[todo, None] * self.graph.n + nodes)
+            todo = todo[~(held & (np.arange(nodes.shape[1]) < counts[:, None])).any(1)]
         if not len(todo):
             return
         todo = todo[np.argsort(self.level[todo], kind="stable")]
@@ -300,7 +296,7 @@ class _Batch:
             hit = np.flatnonzero(self.seen.take(at) & bits)
             if len(hit):
                 i = col.take(hit)
-                stand = self.hist[1 + (hop - 1) * k:1 + hop * k, msgs.take(i)]
+                stand = graph.nbr.take(self.slots[(hop - 1) * k:hop * k, msgs.take(i)])
                 meets = ((stand == reached.take(hit))
                          & (np.arange(k)[:, None] > walker.take(hit)))
                 twice[i[meets.any(0)]] = True
@@ -324,7 +320,6 @@ class _Batch:
         spot = walker * size
         spot += msgs.take(col)
         self.slots.reshape(-1)[hop * k * size + spot] = slot.astype(np.int32)
-        self.hist.reshape(-1)[(1 + hop * k) * size + spot] = nodes
         flight[4] = np.zeros(n, dtype=np.bool_)
         flight[4][col[again]] = True
         # first visits go to the next places of their rows, counted walker
@@ -371,7 +366,7 @@ class _Batch:
         decode like a Lehmer code: from the last walker back, each walker's
         pick moves every later one at or above it up by one option."""
         graph, k = self.graph, self.k
-        origin = self.hist[0, msgs]
+        origin = self.packed[msgs, 0]
         left = graph.deg[origin] - np.arange(k)[:, None]
         option = (drawn % np.maximum(left, 1).astype(np.uint64)).view(np.int64)
         for w in range(k - 2, -1, -1):
@@ -418,12 +413,12 @@ class _Batch:
     def path(self, m, visits, t):
         """Node sequence of the walker whose first visit is visit t of
         message m. Visits 1 .. launched[m] are the launch's arrivals."""
-        origin = self.origins[m]
+        origin = visits[0]
         if t <= self.launched[m]:
             return (origin, visits[t]) if t else (origin,)
-        column = self.hist[:, m].tolist()
+        column = self.graph.nbr.take(self.slots[:, m]).tolist()
         row = column.index(visits[t])
-        return (origin,) + tuple(column[1 + (row - 1) % self.k:row + 1:self.k])
+        return (origin,) + tuple(column[row % self.k:row + 1:self.k])
 
 
 class WalkContext:
@@ -433,8 +428,9 @@ class WalkContext:
     `message` is the id of the next query; `run_query` uses it and moves it
     on by one, and the driver sets it to each issued query's position in
     the schedule. `plan` hands over the schedule, so that a batch can cover
-    the queries ahead. The graph of up nodes, the query batch and the Hello
-    `sweeps` of the current epoch are dropped when `up` changes."""
+    the queries ahead, and `sweep` plans the Hello sweeps of an epoch. The
+    graph of up nodes and the query and sweep batches are dropped when `up`
+    changes."""
 
     def __init__(self, overlay, seed):
         self.overlay = overlay
@@ -442,9 +438,9 @@ class WalkContext:
         self.message = 0
         self.origins = self.targets = None
         self.epoch = 0
+        self.sweep_origins = np.zeros(0, dtype=np.int64)
         self._up = None
-        self._graph = self._batch = None
-        self.sweeps = {}
+        self._graph = self._batch = self._sweep = None
 
     def plan(self, origins, targets):
         """The schedule's origins and targets; query i has message id i."""
@@ -457,58 +453,59 @@ class WalkContext:
         if up != self._up:
             self._up = up
             self._graph = _UpGraph(self.overlay, np.frombuffer(up, dtype=np.bool_))
-            self._batch = None
-            self.sweeps = {}
+            self._batch = self._sweep = None
         return self._graph
 
     def query_batch(self, net, origin, key, k, ttl):
-        """(batch, index) holding query `message`, which moves on by one; a
-        batch of the planned queries from it on is built on a miss."""
+        """(batch, index) holding query `message`, which moves on by one: a
+        planned query's is the kept batch of the planned queries, rebuilt
+        from it on when needed; any other query's is built for it alone."""
         up = net.up.tobytes()
         msg = self.message
         self.message = msg + 1
-        batch = self._batch
-        if up == self._up and batch is not None:
-            m = msg - batch.first_id
-            if (0 <= m < batch.size and batch.origins[m] == origin
-                    and batch.target_list[m] == key and batch.asked == (k, ttl)):
-                return batch, m
-        graph = self.graph(up)
-        self._batch = batch = None          # not alive next to the new one
-        planned = self.origins
-        if (planned is not None and msg < len(planned)
-                and planned[msg] == origin and self.targets[msg] == key):
-            end = min(msg + CHUNK, len(planned))
-            origins, targets = planned[msg:end], self.targets[msg:end]
-        else:
-            origins, targets = np.array([origin]), np.array([key])
-        batch = _Batch(graph, self.seed, range(msg, msg + len(origins)), origins, targets,
-                       k, ttl)
-        batch.extend(net.holds)
-        self._batch = batch
-        return batch, 0
+        plan, batch = self.origins, self._batch
+        if (plan is None or msg >= len(plan) or plan.item(msg) != origin
+                or self.targets.item(msg) != key):
+            batch = _Batch(self.graph(up), self.seed, [msg], [origin], np.array([key]), k, ttl)
+            batch.extend(net.holds)
+            return batch, 0
+        if (batch is None or up != self._up or batch.asked != (k, ttl)
+                or not 0 <= msg - batch.first_id < batch.size):
+            graph = self.graph(up)
+            self._batch = None              # not alive next to the new one
+            end = min(msg + CHUNK, len(plan))
+            batch = _Batch(graph, self.seed, range(msg, end), plan[msg:end],
+                           self.targets[msg:end], k, ttl)
+            batch.extend(net.holds)
+            self._batch = batch
+        return batch, msg - batch.first_id
 
-    def sweep(self, net, origins, k, ttl):
-        """Start a sweep epoch and compute the Hello sweeps of `origins` in
-        one batch: message SWEEP | epoch << 32 | origin each."""
+    def sweep(self, origins):
+        """Start a sweep epoch planned for `origins`: the Hello sweep of
+        origin v in it is message SWEEP | epoch << 32 | v."""
         self.epoch += 1
-        self.sweeps = {}
-        self.sweep_batch(net, origins, k, ttl)
+        self.sweep_origins = np.sort(np.asarray(origins, dtype=np.int64))
+        self._sweep = None
 
-    def sweep_batch(self, net, origins, k, ttl):
-        """Compute the Hello sweeps of `origins` in the current epoch, into
-        `sweeps`: (origin, k, ttl) -> (batch, index)."""
+    def sweep_batch(self, net, origin, k, ttl):
+        """(batch, index) holding the Hello sweep of `origin` in the current
+        epoch: a planned origin's is the kept batch of every planned sweep,
+        built at the epoch's first read; any other's is built for it alone."""
         graph = self.graph(net.up.tobytes())
-        origins = np.asarray(origins, dtype=np.int64)
-        if not len(origins):
-            return
+        plan, batch = self.sweep_origins, self._sweep
+        m = int(plan.searchsorted(origin))
+        planned = m < len(plan) and plan.item(m) == origin
+        if planned and batch is not None and batch.asked == (k, ttl):
+            return batch, m
+        origins = plan if planned and batch is None else np.array([origin])
         ids = [SWEEP | self.epoch << 32 | v for v in origins.tolist()]
         batch = _Batch(graph, self.seed, ids, origins, None, k, ttl)
         batch.extend()
-        batch.hist = batch.slots = batch.seen = None     # a sweep is read by its visits only
-        for m, v in enumerate(batch.origins):
-            self.sweeps[v, k, ttl] = batch, m
-
+        batch.slots = batch.seen = None     # a sweep is read by its visits only
+        if origins is plan:
+            self._sweep = batch
+            return batch, m
+        return batch, 0
 
 
 def run_query(net, ctx, origin, key, k, ttl):
@@ -551,7 +548,7 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
     held = [0] * len(visited) if holds_row is None else holds_row[visited].tolist()
     if held[0]:
         return [[origin]], 0, visited[:1]
-    column = batch.hist[:, 0].tolist()
+    column = [origin] + graph.nbr.take(batch.slots[:, 0]).tolist()
     end, winner = len(column), -1
     if 1 in held:
         hit = held.index(1)
@@ -566,10 +563,6 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
 def hello_sweep(net, ctx, origin, k, ttl):
     """Discover peers within ttl hops via k walkers: the distinct up nodes
     visited, origin excluded, in first-visit order. The sweep is the
-    origin's in the current sweep epoch, computed now if its batch did not
-    hold it."""
-    ctx.graph(net.up.tobytes())
-    if (origin, k, ttl) not in ctx.sweeps:
-        ctx.sweep_batch(net, [origin], k, ttl)
-    batch, m = ctx.sweeps[origin, k, ttl]
+    origin's in the current sweep epoch (`WalkContext.sweep_batch`)."""
+    batch, m = ctx.sweep_batch(net, origin, k, ttl)
     return batch.visits(m)[1:]

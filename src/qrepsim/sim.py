@@ -8,8 +8,9 @@ every random stream is derived from the run seed (numpy PCG64 for setup,
 workload, churn and random placement; the keyed draws of
 :mod:`qrepsim.search` for the walks). Query i of the schedule is walk
 message i, so its walk depends on nothing but the seed, its origin and
-`up`; the Hello sweeps of a scan, and of the initial table build, are
-computed at its start under message ids of their own.
+`up`. A scan, and the initial table build, plans a sweep epoch with the
+nodes it will sweep; their Hello sweeps have message ids of their own and
+are computed in one batch when the first of them is read.
 
 A query whose origin is down when its time comes is never issued.
 
@@ -349,7 +350,7 @@ class Simulation:
         stored during it (wanted at p_th = 0) waits for the next scan."""
         net, params = self.net, self.params
         sources = np.nonzero(net.up & qrep.wants_copies(net, params).any(axis=0))[0]
-        self.ctx.sweep(net, sources, params.hello_walkers, params.hello_ttl)
+        self.ctx.sweep(sources)
         for source in sources.tolist():
             qrep.run_replication_round(net, self.ctx, source, params, now_ms)
 
@@ -393,7 +394,7 @@ class Simulation:
             delta_ms = int(round(self.params.delta * 1000))
             next_scan = delta_ms
             nodes = np.nonzero(self.net.up)[0]
-            self.ctx.sweep(self.net, nodes, self.params.hello_walkers, self.params.hello_ttl)
+            self.ctx.sweep(nodes)
             for v in nodes.tolist():
                 qrep.build_q_table(self.net, self.ctx, v, self.params)
 

@@ -277,10 +277,15 @@ def test_criterion_9_learned_placement_beats_owner_at_point_c():
     sim_cfg, params, topo = parse_config(CONFIGS / "pressure.ini")
     diffs = []
     for seed in range(101, 111):
-        qrep_arm, owner_arm = (
-            Simulation(replace(sim_cfg, strategy=s, seed=seed), params, topo)
-            .run()[-1].success_rate for s in ("qrep", "owner"))
-        diffs.append(qrep_arm - owner_arm)
+        final = {}
+        for strategy in ("qrep", "owner"):
+            sim = Simulation(replace(sim_cfg, strategy=strategy, seed=seed), params, topo,
+                             check_invariants=True)
+            final[strategy] = sim.run()[-1].success_rate
+            if sim.checker.violations:
+                # not an AssertionError, so the expected failure cannot hide it
+                pytest.fail(f"{strategy} seed {seed}: {sim.checker.violations[:3]}")
+        diffs.append(final["qrep"] - final["owner"])
     mean = float(np.mean(diffs))
     half = T_95_DF9 * float(np.std(diffs, ddof=1)) / len(diffs) ** 0.5
     won = sum(d > 0 for d in diffs)

@@ -205,6 +205,15 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_simulate_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe[sim]\nseed = 1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--repeat", "3", "--seed-stride", "0"]])
 def test_simulate_bad_seed_exits_2_before_writing(tmp_path, flags):
     cfg = tmp_path / "run.ini"

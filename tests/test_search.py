@@ -217,7 +217,7 @@ def test_engine_keeps_integer_dtypes(monkeypatch):
         batch = search._Batch(graph, 5, range(40), [m % n for m in range(40)], None, 6, 5)
         batch.extend()
         assert batch.keys.dtype == np.uint64 and batch.seen.dtype == np.uint8
-        for array in (batch.hist, batch.slots, batch.packed):
+        for array in (batch.slots, batch.packed):
             assert array.dtype == np.int32
         assert graph.onward.dtype == np.uint64 and graph.bit.dtype == np.uint8
     assert len(returned) > 2 and all(np.issubdtype(t, np.integer) for t in returned)
@@ -233,6 +233,18 @@ def test_hello_star_one_response_per_leaf():
     table = build_q_table(net, make_ctx(net), 0, params)
     assert table == {p: init_q_value(56.0, 7.0, params) for p in range(1, 5)} | {
         5: init_q_value(56.0, 6.0, params)}
+
+
+def test_planned_sweep_epoch_answers_other_walker_counts_and_ttls():
+    # a planned epoch keeps one batch of its sweeps; a read with other k or
+    # ttl still gets the sweep it asked for
+    net = star_network(leaves=5)
+    ctx = make_ctx(net)
+    ctx.sweep([3, 0])
+    assert sorted(hello_sweep(net, ctx, 0, k=5, ttl=1)) == [1, 2, 3, 4, 5]
+    assert hello_sweep(net, ctx, 3, k=5, ttl=1) == [0]
+    assert len(hello_sweep(net, ctx, 0, k=2, ttl=1)) == 2
+    assert len(hello_sweep(net, ctx, 3, k=1, ttl=2)) == 2
 
 
 def test_hello_all_neighbors_down_empty():

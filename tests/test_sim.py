@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -643,6 +644,57 @@ def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatc
                          TopologyConfig(storage_min=2.0, storage_max=4.0))
         csvs.add(emit_csv(sim.run(), tmp_path / f"m{chunk}.csv").read_bytes())
     assert len(csvs) == 1
+
+
+# a small qrep run whose scans see several up graphs (churn every 700 queries)
+_SWEPT = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                   churn_every_queries=700, metrics_window_queries=500, seed=21)
+
+
+def test_hello_sweeps_do_not_depend_on_the_epoch_plan(monkeypatch):
+    # a sweep read from the batch of every origin its epoch planned answers
+    # what a batch of its origin alone answers, for every source of every
+    # scan (and of the initial table build)
+    sim = Simulation(_SWEPT, QRepParams(delta=60.0, hello_ttl=3))
+    sweep, epochs = search.WalkContext.sweep, []
+
+    def plan(ctx, origins):
+        sweep(ctx, origins)
+        epochs.append((ctx.epoch, ctx.sweep_origins.tolist(), sim.net.up.copy()))
+    monkeypatch.setattr(search.WalkContext, "sweep", plan)
+    sim.run()
+    monkeypatch.undo()
+    net, k, ttl = sim.net, sim.params.hello_walkers, sim.params.hello_ttl
+    assert len(epochs) > 3 and sum(len(sources) for _, sources, _ in epochs) > 100
+    for epoch, sources, up in epochs:
+        net.up[:] = up
+        planned, alone = (search.WalkContext(net.overlay, sim.ctx.seed) for _ in range(2))
+        for ctx, origins in ((planned, sources), (alone, [])):
+            ctx.epoch = epoch - 1
+            ctx.sweep(origins)
+        for source in sources:
+            assert (search.hello_sweep(net, planned, source, k, ttl)
+                    == search.hello_sweep(net, alone, source, k, ttl))
+        assert len({id(planned.sweep_batch(net, v, k, ttl)[0]) for v in sources}) <= 1
+
+
+def test_every_walk_batch_is_built_by_a_query_or_a_sweep(monkeypatch):
+    # perfbench charges walk time to the spans of run_query and hello_sweep;
+    # a batch built elsewhere, say as a scan starts, is charged to
+    # Simulation.run's own time
+    readers = {search.run_query.__code__, search.hello_sweep.__code__}
+    built, init = [], search._Batch.__init__
+
+    def spy(batch, *args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in readers:
+            frame = frame.f_back
+        built.append(frame is not None)
+        init(batch, *args)
+    monkeypatch.setattr(search._Batch, "__init__", spy)
+    sim = Simulation(_SWEPT, QRepParams(delta=60.0, hello_ttl=3))
+    sim.run()
+    assert sim.scans_run > 3 and len(built) > 10 and all(built)
 
 
 # sha256 of the metrics CSV for each strategy; any change to the walk stream,
