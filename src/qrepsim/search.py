@@ -143,7 +143,9 @@ class _Batch:
     origin first, `counts` of them at the front of its row."""
 
     def __init__(self, graph, seed, ids, origins, targets, k, ttl):
-        self.graph, self.targets, self.ttl = graph, targets, ttl
+        self.graph, self.ttl = graph, ttl
+        # int64, so that targets * n + node cannot overflow in any dtype given
+        self.targets = None if targets is None else np.asarray(targets, dtype=np.int64)
         self.first_id, self.size, self.asked = ids[0], len(ids), (k, ttl)
         self.keys = message_keys(seed, ids)
         origins = np.asarray(origins, dtype=np.int64)
@@ -443,9 +445,10 @@ class WalkContext:
         self._graph = self._batch = self._sweep = None
 
     def plan(self, origins, targets):
-        """The schedule's origins and targets; query i has message id i."""
-        self.origins = np.asarray(origins, dtype=np.int64)
-        self.targets = np.asarray(targets, dtype=np.int64)
+        """The schedule's origins and targets, kept in the integer dtype
+        they come in; query i has message id i."""
+        self.origins = np.asarray(origins)
+        self.targets = np.asarray(targets)
         self._batch = None
 
     def graph(self, up):

@@ -177,7 +177,8 @@ def schedule_workload(config, net, rng):
 
     The draws go node by node in id order (offset, gaps, targets), one row
     of a (nodes, queries_per_node) array each; timestamps are then derived
-    and sorted over the whole array at once.
+    and sorted over the whole array at once. Times are int64 and node and
+    object ids int32.
     """
     kind, theta = config.popularity_profile()
     m, q = config.object_count, config.queries_per_node
@@ -187,10 +188,10 @@ def schedule_workload(config, net, rng):
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
     mean_ms = config.mean_query_interval_s * 1000.0
-    nodes = np.flatnonzero(net.up)
+    nodes = np.flatnonzero(net.up).astype(np.int32)
     offsets = np.empty((len(nodes), 1), dtype=np.int64)
     gaps = np.empty((len(nodes), q))
-    targets = np.empty((len(nodes), q), dtype=np.int64)
+    targets = np.empty((len(nodes), q), dtype=np.int32)   # the draws stay int64: same stream
     for i in range(len(nodes)):
         offsets[i] = rng.integers(0, max(1, int(round(mean_ms))))
         gaps[i] = rng.exponential(config.mean_query_interval_s, q)
@@ -198,12 +199,23 @@ def schedule_workload(config, net, rng):
             targets[i] = rng.integers(0, m, size=q)
         else:
             targets[i] = cdf.searchsorted(rng.random(q), side="right")
-    # strict increase survives ms rounding: t[i] >= t[i-1] + 1
+    # strict increase survives ms rounding: t[i] >= t[i-1] + 1; in place, so
+    # that no full-size temporary but `times` and the sort order is live
+    gaps *= 1000.0
+    times = np.round(gaps, out=gaps).astype(np.int64)
+    del gaps
     steps = np.arange(q)
-    times = np.round(gaps * 1000.0).astype(np.int64).cumsum(axis=1)
-    times = np.maximum.accumulate(offsets + times - steps, axis=1) + steps
-    order = np.argsort(times.ravel(), kind="stable")
-    return times.ravel()[order], np.repeat(nodes, q)[order], targets.ravel()[order]
+    np.cumsum(times, axis=1, out=times)
+    times -= steps
+    times += offsets
+    np.maximum.accumulate(times, axis=1, out=times)
+    times += steps
+    times = times.reshape(-1)
+    order = np.argsort(times, kind="stable")
+    times = times.take(order)
+    targets = targets.reshape(-1).take(order)
+    order //= q                               # the row of each query is its origin's
+    return times, nodes.take(order), targets
 
 
 def _schedule_rows(times, origins, targets, chunk=4096):

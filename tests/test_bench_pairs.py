@@ -40,6 +40,10 @@ def test_summary_flags_each_metric_past_its_bound_the_wrong_way():
     assert summary["setup_s"]["median_ratio"] == 1.3
     assert summary["peak_rss_mb"]["median_ratio"] == 1.12
     assert summary["queries_per_s"]["change_wins"] == 0
+    # a speed or memory claim shows each pair's change/parent ratio
+    assert summary["queries_per_s"]["ratios"] == [0.7, 0.74]
+    assert summary["peak_rss_mb"]["ratios"] == [1.12, 1.12]
+    assert "ratios" not in summary["setup_s"]
 
 
 def test_summary_does_not_flag_gains_or_moves_inside_the_bound():

@@ -221,6 +221,14 @@ def test_engine_keeps_integer_dtypes(monkeypatch):
             assert array.dtype == np.int32
         assert graph.onward.dtype == np.uint64 and graph.bit.dtype == np.uint8
     assert len(returned) > 2 and all(np.issubdtype(t, np.integer) for t in returned)
+    # the plan keeps the schedule's int32 ids; a batch planned from them holds
+    # its targets as int64, so targets * n + node cannot overflow
+    net = Network(k6, np.ones(6), np.full(6, 5.0), np.ones(6, dtype=bool), np.ones(3))
+    ctx = WalkContext(k6, seed=5)
+    ctx.plan(np.arange(40, dtype=np.int32) % 6, np.arange(40, dtype=np.int32) % 3)
+    batch, _ = ctx.query_batch(net, 0, 0, 6, 5)
+    assert ctx.origins.dtype == ctx.targets.dtype == np.int32
+    assert batch.targets.dtype == np.int64 and batch.size == 40
 
 
 def test_hello_star_one_response_per_leaf():

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,24 @@ def test_workload_deterministic():
     b = schedule_workload(cfg, net, np.random.default_rng(7))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def test_schedule_memory_stays_near_its_output():
+    # 800 up nodes x 100 queries: the output takes 16 B a query (int64
+    # times, int32 ids); a build whose temporaries outlive their use, or
+    # whose ids are int64, peaks at 56 B a query
+    cfg = SimConfig(seed=77)
+    net = Simulation(cfg).net
+    tracemalloc.start()
+    try:
+        times, origins, targets = schedule_workload(cfg, net, np.random.default_rng(77))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 80_000
+    assert peak <= 36 * len(times), peak / len(times)
+    assert times.dtype == np.int64
+    assert origins.dtype == targets.dtype == np.int32
 
 
 PINNED_SCHEDULE_SHA256 = {
@@ -644,6 +663,35 @@ def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatc
                          TopologyConfig(storage_min=2.0, storage_max=4.0))
         csvs.add(emit_csv(sim.run(), tmp_path / f"m{chunk}.csv").read_bytes())
     assert len(csvs) == 1
+
+
+def test_int32_and_int64_plans_resolve_every_query_alike(monkeypatch):
+    # the schedule's ids are int32, and NumPy 1.x promotes an int32 array
+    # times an int by value; a run planned from int64 ids resolves every
+    # query as the run planned from int32 ids does
+    cfg = SimConfig(node_count=120, queries_per_node=25, object_count=12,
+                    churn_every_queries=700, metrics_window_queries=500, seed=21,
+                    strategy="path")
+    runs = []
+    for dtype in (np.int32, np.int64):
+        outcomes = []
+
+        def schedule(*args, dtype=dtype):
+            times, origins, targets = schedule_workload(*args)
+            return times, origins.astype(dtype), targets.astype(dtype)
+
+        def query(*args, outcomes=outcomes):
+            outcome = search.run_query(*args)
+            outcomes.append(outcome)
+            return outcome
+        monkeypatch.setattr(sim_module, "schedule_workload", schedule)
+        monkeypatch.setattr(sim_module, "run_query", query)
+        sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3),
+                         TopologyConfig(storage_min=2.0, storage_max=4.0))
+        sim.run()
+        assert sim.ctx.origins.dtype == sim.ctx.targets.dtype == dtype
+        runs.append(outcomes)
+    assert len(runs[0]) > 2000 and runs[0] == runs[1]
 
 
 # a small qrep run whose scans see several up graphs (churn every 700 queries)

@@ -16,8 +16,9 @@ runs first from one pair to the next. With `--trace-seed N` it adds one
 `BENCH_<pr>.json`: every pair's printed result objects and metrics-CSV
 digests, per-side medians and quartiles of the end-to-end metrics, the
 change's wins on each of them, the change/parent median ratios of
-`setup_s` and `peak_rss_mb`, and the traced per-layer values side by
-side. The file is rewritten after every pair, so a cut run keeps what ran.
+`setup_s` and `peak_rss_mb`, every pair's change/parent ratio of
+`queries_per_s` and `peak_rss_mb`, and the traced per-layer values side
+by side. The file is rewritten after every pair, so a cut run keeps what ran.
 Every end-to-end metric whose change median moved from the parent's the
 way its `better` calls worse by more than its `bound` is listed under the
 group's `flags` and printed as one `FLAG` line on stderr at the end. Every
@@ -160,7 +161,7 @@ def summarize(pairs, end_to_end):
         out[name] = {"parent": quartiles(parent), "change": quartiles(change)}
         p_med, c_med = out[name]["parent"]["median"], out[name]["change"]["median"]
         out[name].update(gain(parent, change, out[name]["parent"], c_med, metric["better"]))
-        if name == "queries_per_s":
+        if name in ("queries_per_s", "peak_rss_mb"):
             out[name]["ratios"] = [round(c / p, 4) for p, c in zip(parent, change)]
         if name in ("setup_s", "peak_rss_mb") and p_med:
             out[name]["median_ratio"] = round(c_med / p_med, 4)
