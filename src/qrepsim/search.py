@@ -26,10 +26,11 @@ whose node its message has visited only once can only have used the edge
 it arrived by, so it draws among the others directly; the full used-edge
 test runs only for the messages with a walker on a node visited twice. A
 bitset per message marks the nodes it visited. A query batch holds the
-next `CHUNK` messages of the planned schedule and extends lazily: it
-computes a hop only for the messages not yet resolved under `holds` at
-that moment, and extends a message again when its query, at its own
-event, needs more. How far the engine computed never changes an outcome.
+next `CHUNK` messages of the planned schedule and computes each of them up
+to its first holder under `holds` at that moment. When a query, at its own
+event, needs more, its message is computed again from the launch: the
+same draws write the same slots, so no state is kept to resume a walk
+from. How far the engine computed never changes an outcome.
 Batches are rebuilt when `up` changes, which happens at churn. Hello
 sweeps read no `holds` and have message ids of their own: the first read
 of a sweep epoch computes the sweeps of every origin it planned in one batch.
@@ -130,16 +131,17 @@ class _UpGraph:
 
 
 class _Batch:
-    """Trajectories of a batch of messages under one `up`, grown hop by hop.
+    """Trajectories of a batch of messages under one `up`, computed hop by hop.
 
     `slots` is slot-major, one column per message: row hop * k + w holds
     the up-graph slot that slot (hop, w) crossed, -1 for a walker that
     halted or never launched, so `graph.nbr` of it is the node reached.
-    `seen` has a row of `graph.width` bytes per message with bit v % 8 of
-    byte v // 8 set for every node v it visited. `level` counts the hops
-    computed, `done` marks a message whose walkers all halted or that
-    reached its ttl, and `twice` one whose last hop arrived on a node it
-    had visited before. `packed` holds the first visits of each message,
+    It has room for min(ttl, up edges + 1) hops: a hop that moves a walker
+    crosses an up edge its message never crossed, and the hop after the
+    last such hop halts every walker. `seen` has a row of `graph.width`
+    bytes per message with bit v % 8 of byte v // 8 set for every node v it
+    visited, and `done` marks a message whose walkers all halted or that
+    reached its ttl. `packed` holds the first visits of each message,
     origin first, `counts` of them at the front of its row."""
 
     def __init__(self, graph, seed, ids, origins, targets, k, ttl):
@@ -152,37 +154,28 @@ class _Batch:
         deg = graph.deg[origins]
         self.k = min(k, int(deg.max())) if ttl > 0 else 0
         size = self.size
-        self.level = np.zeros(size, dtype=np.int64)
         self.done = (deg == 0) | (self.k == 0)
-        self.twice = np.zeros(size, dtype=np.bool_)
-        self.hops = min(ttl, 8)               # room for 8 hops, doubled as needed
-        self.slots = np.full((self.hops * self.k, size), -1, dtype=np.int32)
+        hops = min(ttl, int(graph.deg.sum()) // 2 + 1)
+        self.slots = np.full((hops * self.k, size), -1, dtype=np.int32)
         self.seen = np.zeros(size * graph.width, dtype=np.uint8)
-        self.seen[np.arange(size) * graph.width + (origins >> 3)] = graph.bit[origins]
-        self.launched = np.minimum(deg, self.k).tolist()
-        self.packed = np.zeros((size, 1 + self.hops * self.k), dtype=np.int32)
+        self.packed = np.zeros((size, 1 + hops * self.k), dtype=np.int32)
         self.packed[:, 0] = origins
         self.counts = np.ones(size, dtype=np.int64)
 
-    def _grow(self):
-        """Room for twice as many hops in every per-slot array."""
-        more = (self.hops * self.k, self.size)
-        self.slots = np.vstack((self.slots, np.full(more, -1, dtype=np.int32)))
-        self.packed = np.hstack((self.packed, np.zeros(more[::-1], dtype=np.int32)))
-        self.hops *= 2
-
     def extend(self, holds=None, first=0):
-        """Compute further hops for the messages from index `first` on that
-        are not done and, with `holds`, have no visited node holding their
-        object; a message stops as soon as one does.
+        """Compute the messages from index `first` on that are not done and,
+        with `holds`, have no visited node holding their object, from their
+        launch on; a message stops as soon as one does. A message taken up
+        again recomputes the hops it had: its trajectory writes the same
+        slots, so only its `seen` row and its count start again.
 
         The messages in flight keep their state compact, in `flight`: the
         message, its key, its `seen` row, its object's row of `holds`,
         whether its last hop arrived twice and its count of first visits.
         Their walkers that stand on a node are kept flat, walker by walker,
         in `walkers`: walker index, entry of its message in `flight` and
-        the slot it crossed last. A message joins when the hop reaches its
-        level and leaves when it stops; a walker leaves when it halts."""
+        the slot it crossed last. A message leaves when it stops; a walker
+        leaves when it halts."""
         todo = np.arange(first, self.size)[~self.done[first:]]
         if holds is not None and len(todo):
             counts = self.counts[todo]
@@ -191,21 +184,18 @@ class _Batch:
             todo = todo[~(held & (np.arange(nodes.shape[1]) < counts[:, None])).any(1)]
         if not len(todo):
             return
-        todo = todo[np.argsort(self.level[todo], kind="stable")]
-        levels = self.level[todo]
+        graph = self.graph
+        origins = self.packed[todo, 0]
+        seen = self.seen.reshape(self.size, -1)
+        seen[todo] = 0
+        seen[todo, origins >> 3] = graph.bit[origins]
         cells = None if holds is None else holds.reshape(-1)
-        graph, k = self.graph, self.k
-        flight = walkers = None
-        joined = 0
-        hop = int(levels[0])
+        cell = todo if self.targets is None else self.targets[todo] * graph.n
+        flight = [todo, self.keys[todo], todo * graph.width, cell,
+                  np.zeros(len(todo), dtype=np.bool_), np.ones(len(todo), dtype=np.int64)]
+        walkers = None
+        hop = 0
         while True:
-            if joined < len(todo) and levels.item(joined) == hop:
-                upto = int(np.searchsorted(levels, hop, side="right"))
-                msgs = todo[joined:upto]
-                joined = upto
-                flight, walkers = self._join(flight, walkers, msgs, hop)
-            if hop >= self.hops:
-                self._grow()
             walker, col, slot, reached, moved = self._hop(hop, flight, walkers)
             hop += 1
             msgs = flight[0]
@@ -222,43 +212,12 @@ class _Batch:
             if going.all():
                 continue
             stop = ~going
-            left = msgs[stop]
-            self.level[left] = hop
-            self.twice[left] = flight[4][stop]
-            self.counts[left] = flight[5][stop]
+            self.counts[msgs[stop]] = flight[5][stop]
             stay = np.flatnonzero(going)
-            if len(stay):
-                walkers[1] = (np.cumsum(going) - 1).take(walkers[1])
-                flight = [a.take(stay) for a in flight]
-            elif joined < len(todo):
-                flight = walkers = None
-                hop = int(levels[joined])
-            else:
+            if not len(stay):
                 return
-
-    def _join(self, flight, walkers, msgs, hop):
-        """`flight` and `walkers` with the messages `msgs` at level `hop`
-        added, walkers kept in walker order."""
-        graph, k = self.graph, self.k
-        cell = msgs if self.targets is None else self.targets[msgs] * graph.n
-        joining = [msgs, self.keys[msgs], msgs * graph.width, cell,
-                   self.twice[msgs], self.counts[msgs]]
-        if flight is None:
-            flight, walkers = joining, None
-        else:
-            flight = [np.concatenate((a, b)) for a, b in zip(flight, joining)]
-        if hop:                       # hop 0 launches the walkers of every message
-            last = self.slots[(hop - 1) * k:hop * k, msgs]
-            on = np.flatnonzero(last >= 0)
-            walker, col = np.divmod(on, len(msgs))
-            col += len(flight[0]) - len(msgs)
-            new = [walker, col, last.reshape(-1).take(on).astype(np.int64)]
-            if walkers is not None:
-                new = [np.concatenate((a, b)) for a, b in zip(walkers, new)]
-                order = np.argsort(new[0], kind="stable")
-                new = [a.take(order) for a in new]
-            walkers = new
-        return flight, walkers
+            walkers[1] = (np.cumsum(going) - 1).take(walkers[1])
+            flight = [a.take(stay) for a in flight]
 
     def visits(self, m):
         """The first visits of message m computed so far, in order."""
@@ -414,9 +373,10 @@ class _Batch:
 
     def path(self, m, visits, t):
         """Node sequence of the walker whose first visit is visit t of
-        message m. Visits 1 .. launched[m] are the launch's arrivals."""
+        message m. Visits 1 .. min(k, up-degree of the origin) are the
+        launch's arrivals."""
         origin = visits[0]
-        if t <= self.launched[m]:
+        if t <= min(self.k, self.graph.deg.item(origin)):
             return (origin, visits[t]) if t else (origin,)
         column = self.graph.nbr.take(self.slots[:, m]).tolist()
         row = column.index(visits[t])
@@ -559,7 +519,7 @@ def walk(net, ctx, origin, k, ttl, holds_row=None):
         winner = (end - 2) % batch.k
         visited = visited[:hit + 1]
     paths = [[origin] + [v for v in column[1 + w:end:batch.k] if v >= 0]
-             for w in range(min(batch.launched[0], end - 1))]
+             for w in range(min(batch.k, graph.deg.item(origin), end - 1))]
     return paths, winner, visited
 
 

@@ -205,6 +205,14 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_simulate_config_without_a_section_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bare.ini"
+    cfg.write_text("seed = 1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed config {cfg}: ") and not (tmp_path / "o").exists()
+
+
 def test_simulate_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_bytes(b"\xff\xfe[sim]\nseed = 1\n")
@@ -214,7 +222,8 @@ def test_simulate_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--repeat", "3", "--seed-stride", "0"]])
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--repeat", "3", "--seed-stride", "0"],
+                                   ["--repeat", "0"]])
 def test_simulate_bad_seed_exits_2_before_writing(tmp_path, flags):
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY)
@@ -304,23 +313,30 @@ def test_compare_reads_values_literally(tmp_path):
     ("[sim]\nstrategy = path\nttl = x\nseed = 1\n", None, "config.resolved.ini"),
     (None, "window_index,success_rate\n0,abc\n", "metrics_seed1.csv"),
     (None, "window_index,success_rate\n0\n", "metrics_seed1.csv"),
+    ("", None, "config.resolved.ini"),
+    (None, "", ""),
+    (None, "window_index,success_rate\n", "metrics_seed1.csv"),
 ], ids=["text-before-first-section", "no-ttl", "ttl-not-an-integer",
-        "rate-not-a-number", "row-shorter-than-header"])
+        "rate-not-a-number", "row-shorter-than-header", "no-config", "no-csv",
+        "header-only-csv"])
 def test_compare_unreadable_run_is_an_error(tmp_path, capsys, config, csv, named):
-    # a run directory compare cannot read exits 2 and names the file
+    # a run directory compare cannot read exits 2 and names the file, or the
+    # directory when a file is missing; an empty text leaves the file out
     runs = []
     for strategy, bad in (("qrep", False), ("path", True)):
         run = tmp_path / strategy
         run.mkdir()
-        (run / "config.resolved.ini").write_text(
-            config if bad and config else f"[sim]\nstrategy = {strategy}\nttl = 3\nseed = 1\n")
-        (run / "metrics_seed1.csv").write_text(
-            csv if bad and csv else "window_index,success_rate\n0,0.5\n")
+        for name, text, good in (
+                ("config.resolved.ini", config, f"[sim]\nstrategy = {strategy}\nttl = 3\nseed = 1\n"),
+                ("metrics_seed1.csv", csv, "window_index,success_rate\n0,0.5\n")):
+            text = text if bad and text is not None else good
+            if text:
+                (run / name).write_text(text)
         runs.append(run)
     report = tmp_path / "r.csv"
     assert main(["compare", "--runs", *map(str, runs), "--out", str(report)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(runs[1] / named) in err
+    assert err.startswith("error: ") and re.search(re.escape(str(runs[1] / named)) + r"[\s:]", err)
     assert err.count("\n") == 1 and not report.exists()
 
 

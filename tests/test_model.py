@@ -223,6 +223,17 @@ def test_non_finite_bandwidth_classes_rejected(classes):
         TopologyConfig(bandwidth_classes=classes)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(max_retries=0), "max_retries"),
+    (dict(bandwidth_classes="56"), "'value:weight', got '56'"),
+    (dict(bandwidth_classes="a:b"), "'value:weight', got 'a:b'"),
+    (dict(bandwidth_classes=" , "), "at least one"),
+], ids=["max_retries-0", "no-weight", "not-numbers", "no-entry"])
+def test_topology_config_rejects_invalid(fields, message):
+    with pytest.raises(ConfigurationError, match=message):
+        TopologyConfig(**fields)
+
+
 @pytest.mark.parametrize("bounds", [(2.5, 4.0), (2.0, 4.5)])
 def test_fractional_storage_bounds_rejected(bounds):
     # capacities are whole units: a bound of 2.5 would silently become 2

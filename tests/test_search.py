@@ -398,10 +398,20 @@ def test_trajectories_nest_across_ttl(overlay):
             assert more[:len(seen)] == seen
 
 
-def test_query_matches_the_walk_of_its_message():
+@pytest.mark.parametrize("ttl", [5, 12])
+def test_query_matches_the_walk_of_its_message(ttl, monkeypatch):
     # a query batch resolves message m as a walk of message m does, with the
     # same provider, path and visited nodes however far the batch computed,
-    # also when a copy its batch saw is gone by the query's event
+    # also when a copy its batch saw is gone by the query's event; at ttl 12
+    # walks run past 8 hops, and a query takes up such a message again
+    taken, extend = [], search._Batch.extend
+
+    def spy(self, holds=None, first=None):
+        if first is None:
+            return extend(self, holds)
+        taken.append(self.counts.item(first))     # first visits before it is taken up
+        return extend(self, holds, first)
+    monkeypatch.setattr(search._Batch, "extend", spy)
     rng = random.Random(5)
     overlay = generate_topology(80, 4.0, seed=5)
     net = Network(overlay, np.ones(80), np.full(80, 5.0), np.ones(80, dtype=bool),
@@ -412,13 +422,20 @@ def test_query_matches_the_walk_of_its_message():
     keys = [rng.randrange(3) for _ in range(300)]
     ctx = WalkContext(overlay, seed=11)
     ctx.plan(origins, keys)
+    probes = []
     for msg, (origin, key) in enumerate(zip(origins, keys)):
         ctx.message = msg
-        outcome, visited = run_query(net, ctx, origin, key, 4, 5)
+        outcome, visited = run_query(net, ctx, origin, key, 4, ttl)
         alone = WalkContext(overlay, seed=11)
         alone.message = msg
-        paths, winner, seen = walk(net, alone, origin, 4, 5, net.holds[key])
+        paths, winner, seen = walk(net, alone, origin, 4, ttl, net.holds[key])
         assert visited == seen and outcome.probes == len(seen)
         assert outcome.path == (tuple(paths[winner]) if winner >= 0 else ())
+        probes.append(outcome.probes)
         if msg % 3 == 0 and outcome.hops_used:
             net.remove_object(outcome.provider, key)    # later queries look further
+    assert taken
+    if ttl > 8:
+        # a hop adds at most k = 4 first visits to the origin, so more than
+        # 8 * 4 + 1 of them means the walk passed hop 8
+        assert max(probes) > 8 * 4 + 1 and max(taken) > 8 * 4 + 1

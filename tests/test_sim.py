@@ -67,7 +67,7 @@ def test_config_defaults_valid():
     dict(initial_up_fraction=1.5), dict(strategy="flood"),
     dict(query_popularity="zipf:-1"), dict(query_popularity="pareto"),
     dict(query_popularity="zipf:nan"), dict(query_popularity="zipf:inf"),
-    dict(seed=-1),
+    dict(seed=-1), dict(churn_every_queries=-1),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ConfigurationError):
@@ -362,6 +362,21 @@ def test_checker_reports_small_storage_drift_mixed_sizes():
     net.free[node] += 5e-4
     checker.after_event(1, full=True)
     assert checker.violations == [f"t=1: storage accounting off at node {node}"]
+
+
+def test_checker_reports_negative_free_storage():
+    # a touched node with free -1 and a capacity lowered to match: the
+    # accounting balances, so only the free-storage check reports
+    net = ring_network(10, n_objects=2)
+    net.store_object(3, 0, 0, original=True)
+    checker = InvariantChecker(net)
+    checker.after_event(0, full=True)
+    assert checker.violations == []
+    net.capacity[3] -= net.free[3] + 1.0
+    net.free[3] = -1.0
+    net.touched.add(3)
+    checker.after_event(1)
+    assert checker.violations == ["t=1: negative or NaN free storage"]
 
 
 def test_checker_reports_nan_popularity_and_q():
