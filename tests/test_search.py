@@ -436,6 +436,6 @@ def test_query_matches_the_walk_of_its_message(ttl, monkeypatch):
             net.remove_object(outcome.provider, key)    # later queries look further
     assert taken
     if ttl > 8:
-        # a hop adds at most k = 4 first visits to the origin, so more than
-        # 8 * 4 + 1 of them means the walk passed hop 8
+        # each hop adds at most k = 4 first visits to the origin's one, so
+        # more than 8 * 4 + 1 of them means the walk passed hop 8
         assert max(probes) > 8 * 4 + 1 and max(taken) > 8 * 4 + 1
