@@ -32,6 +32,11 @@ def _field_types(cls):
     return {f.name: type(f.default) for f in fields(cls)}
 
 
+def _line(path, lineno):
+    """Line `lineno` (from 1) of a UTF-8 text file, stripped."""
+    return path.read_text(encoding="utf-8").splitlines()[lineno - 1].strip()
+
+
 def parse_config(path, overrides=None):
     """Read an INI config and apply CLI overrides.
 
@@ -45,8 +50,18 @@ def parse_config(path, overrides=None):
         raise ConfigurationError(f"config file not found: {path}")
     try:
         parser.read(path, encoding="utf-8")
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigurationError(f"malformed config {path}: line {exc.lineno}: "
+                                 f"{_line(path, exc.lineno)!r} comes before any [section] "
+                                 f"header") from None
+    except configparser.ParsingError as exc:
+        lineno = exc.errors[0][0]
+        raise ConfigurationError(f"malformed config {path}: line {lineno}: "
+                                 f"{_line(path, lineno)!r} is neither a [section] header "
+                                 f"nor a key = value pair") from None
     except configparser.Error as exc:
-        raise ConfigurationError(f"malformed config {path}: {exc}")
+        # the duplicate errors already name the file and the line, in one line
+        raise ConfigurationError(f"malformed config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config {path} is not UTF-8 text: {exc.reason} "
                                  f"at byte {exc.start}") from None

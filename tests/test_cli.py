@@ -210,7 +210,19 @@ def test_simulate_config_without_a_section_exits_2(tmp_path, capsys):
     cfg.write_text("seed = 1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: malformed config {cfg}: ") and not (tmp_path / "o").exists()
+    assert err == (f"error: malformed config {cfg}: line 1: 'seed = 1' comes before any "
+                   f"[section] header\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_config_with_an_unparseable_line_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[sim]\nseed = 1\nnot a pair\nalso not\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: malformed config {cfg}: line 3: 'not a pair' is neither a "
+                   f"[section] header nor a key = value pair\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ import pytest
 from qrepsim.model import generate_topology, Network, Overlay
 from qrepsim.qrep import QRepParams, build_q_table, init_q_value
 from qrepsim import search
-from qrepsim.search import (SWEEP, WalkContext, draws, hello_sweep, message_keys, run_query,
-                            walk)
+from qrepsim.search import SWEEP, WalkContext, draws, hello_sweep, message_keys, run_query
 
-from helpers import build_network, line_network, make_ctx, star_network
+from helpers import build_network, line_network, make_ctx, star_network, walk
 
 
 def walker_paths(net, ctx, origin, k, ttl):
@@ -214,7 +214,8 @@ def test_engine_keeps_integer_dtypes(monkeypatch):
     for overlay in (k6, generate_topology(60, 4.0, seed=2)):
         n = overlay.node_count
         graph = search._UpGraph(overlay, np.ones(n, dtype=bool))
-        batch = search._Batch(graph, 5, range(40), [m % n for m in range(40)], None, 6, 5)
+        batch = search._Batch(graph, 5, range(40), [m % n for m in range(40)], None, 6, 5,
+                              search._Work())
         batch.extend()
         assert batch.keys.dtype == np.uint64 and batch.seen.dtype == np.uint8
         for array in (batch.slots, batch.packed):
@@ -439,3 +440,83 @@ def test_query_matches_the_walk_of_its_message(ttl, monkeypatch):
         # each hop adds at most k = 4 first visits to the origin's one, so
         # more than 8 * 4 + 1 of them means the walk passed hop 8
         assert max(probes) > 8 * 4 + 1 and max(taken) > 8 * 4 + 1
+
+
+def test_query_batch_rebuild_keeps_no_other_planned_batch_alive(monkeypatch):
+    # a rebuild drops the planned query batch it replaces before it builds
+    # the next one, so two are never alive at once
+    monkeypatch.setattr(search, "CHUNK", 16)
+    alive, rebuilds, init = weakref.WeakSet(), [], search._Batch.__init__
+
+    def spy(self, graph, seed, ids, *args):
+        planned = isinstance(ids, range)
+        if planned:
+            rebuilds.append(len(alive))
+        init(self, graph, seed, ids, *args)
+        if planned:
+            alive.add(self)
+    monkeypatch.setattr(search._Batch, "__init__", spy)
+    rng = random.Random(3)
+    overlay = generate_topology(60, 4.0, seed=3)
+    net = Network(overlay, np.ones(60), np.full(60, 5.0), np.ones(60, dtype=bool), np.ones(2))
+    net.store_object(7, 0, 0)
+    origins = [rng.randrange(60) for _ in range(100)]
+    ctx = WalkContext(overlay, seed=4)
+    ctx.plan(origins, [rng.randrange(2) for _ in range(100)])
+    for msg, origin in enumerate(origins):
+        ctx.message = msg
+        run_query(net, ctx, origin, ctx.targets.item(msg), 6, 6)
+        if msg == 50:
+            net.up[origin] = not net.up[origin]         # churn rebuilds mid-batch
+    assert len(rebuilds) > 6 and rebuilds == [0] * len(rebuilds)
+
+
+def test_shared_working_memory_gives_what_a_fresh_context_gives():
+    # one context's working memory serves, in turn, Hello sweeps, a one-off
+    # query, planned query batches, re-extensions after a copy is removed
+    # and the batches after an up flip; each result equals a fresh
+    # context's, which has only that walk behind it
+    rng = random.Random(8)
+    overlay = generate_topology(90, 5.0, seed=8)
+    net = Network(overlay, np.ones(90), np.full(90, 5.0), np.ones(90, dtype=bool),
+                  np.ones(3))
+    for node in rng.sample(range(90), 10):
+        net.store_object(node, rng.randrange(3), 0)
+    origins = [rng.randrange(90) for _ in range(120)]
+    keys = [rng.randrange(3) for _ in range(120)]
+    ctx = WalkContext(overlay, seed=13)
+    ctx.plan(origins, keys)
+
+    def fresh():
+        other = WalkContext(overlay, seed=13)
+        other.plan(origins, keys)
+        return other
+
+    def query(msg, origin, key):
+        ctx.message = alone_ctx.message = msg
+        got = run_query(net, ctx, origin, key, 6, 6)
+        assert got == run_query(net, alone_ctx, origin, key, 6, 6)
+        return got[0]
+
+    removed = 0
+    for flip in range(3):
+        ctx.sweep(range(0, 90, 3))
+        alone = fresh()
+        alone.epoch = ctx.epoch - 1
+        alone.sweep(range(0, 90, 3))
+        for v in [*range(0, 90, 9), 1, 2]:               # 1 and 2 are not planned
+            if net.up[v]:
+                assert hello_sweep(net, ctx, v, 8, 4) == hello_sweep(net, alone, v, 8, 4)
+        alone_ctx = fresh()
+        origin = next(v for v in range(90) if net.up[v] and v != origins[5])
+        query(5, origin, 0)                               # not the plan's: a one-off batch
+        for msg in range(40 * flip, 40 * flip + 40):
+            if not net.up[origins[msg]]:
+                continue
+            alone_ctx = fresh()
+            outcome = query(msg, origins[msg], keys[msg])
+            if outcome.hops_used and msg % 2:
+                net.remove_object(outcome.provider, keys[msg])   # later queries re-extend
+                removed += 1
+        net.up[rng.sample(range(90), 12)] = flip % 2 == 1
+    assert removed

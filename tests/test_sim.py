@@ -672,7 +672,7 @@ def test_metrics_csv_does_not_depend_on_the_walk_batch_size(tmp_path, monkeypatc
                     requester_copy=not case.endswith("no-requester-copy"),
                     strategy=case.split("-")[0])
     csvs = set()
-    for chunk in (1, 7, 2048):
+    for chunk in (1, 7, 2048, 4096):
         monkeypatch.setattr(search, "CHUNK", chunk)
         sim = Simulation(cfg, QRepParams(delta=60.0, hello_ttl=3),
                          TopologyConfig(storage_min=2.0, storage_max=4.0))
